@@ -140,7 +140,7 @@ func BenchmarkAblationFEC(b *testing.B) {
 func BenchmarkAblationPinning(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		experiment.AblationPinning(1)
+		experiment.AblationPinning(experiment.RunOpts{Seed: 1})
 	}
 }
 

@@ -20,8 +20,7 @@
 //	ffbench -seeds 5            # run seeded experiments over seeds 1..5
 //	ffbench -json               # write BENCH_ffbench.json
 //	ffbench -short              # cut-down horizons (CI smoke)
-//	ffbench -shards 4           # sharded parallel engine (0 = serial)
-//	ffbench -nowarm             # cold-build every run (no warm-fabric reuse)
+//	ffbench -shards 4           # sharded engine for fig3x, fig3f, a6 (0 = serial)
 //	ffbench -check              # exit 1 if shape checks fail
 //	ffbench -compare BENCH_ffbench.json   # exit 1 on wall-time or alloc regression
 //	ffbench -cpuprofile cpu.pb.gz         # pprof CPU profile of the whole run
@@ -114,10 +113,8 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	traceOut := flag.String("trace", "", "write a runtime execution trace to this file")
-	shards := flag.Int("shards", 0, "engine shard count for simulations (0 = serial engine)")
-	nowarm := flag.Bool("nowarm", false, "disable warm-fabric reuse across runs (every run cold-builds)")
+	shards := flag.Int("shards", 0, "engine shard count for fig3x, fig3f and a6 (0 = serial engine)")
 	flag.Parse()
-	experiment.DefaultShards = *shards
 
 	stopProfiles, err := startProfiles(*cpuprofile, *traceOut)
 	if err != nil {
@@ -153,9 +150,9 @@ func main() {
 		seedList[i] = int64(i + 1)
 	}
 
-	specs := experiment.Specs(defs, seedList, *short)
+	specs := experiment.Specs(defs, seedList, *short, *shards)
 	start := time.Now()
-	results := (&experiment.Runner{Workers: *parallel, NoWarm: *nowarm}).Run(specs)
+	results := (&experiment.Runner{Workers: *parallel}).Run(specs)
 	totalWall := time.Since(start)
 	agg := experiment.Aggregate(results)
 
@@ -216,7 +213,7 @@ func main() {
 		}
 	}
 	if *jsonOut {
-		if err := writeReport(defs, seedList, *parallel, *short, totalWall, results, agg, shapeErrs); err != nil {
+		if err := writeReport(defs, seedList, *parallel, *shards, *short, totalWall, results, agg, shapeErrs); err != nil {
 			fmt.Fprintf(os.Stderr, "ffbench: writing report: %v\n", err)
 			os.Exit(1)
 		}
@@ -316,14 +313,14 @@ func writeMemProfile(memprofile string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-func writeReport(defs []experiment.Def, seeds []int64, workers int, short bool,
+func writeReport(defs []experiment.Def, seeds []int64, workers, shards int, short bool,
 	totalWall time.Duration, results []experiment.RunResult,
 	agg map[string]map[string]experiment.Agg, shapeErrs []string) error {
 	rep := report{
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Workers:     workers,
 		Seeds:       seeds,
-		Shards:      experiment.DefaultShards,
+		Shards:      shards,
 		Short:       short,
 		TotalWallMS: float64(totalWall.Microseconds()) / 1e3,
 		ShapeErrors: shapeErrs,

@@ -3,7 +3,7 @@
 // scenario builder, serving many tenants from one warm process instead of
 // cold-starting ffbench per request. Jobs run concurrently on a bounded
 // worker pool with per-job panic isolation, timeouts, and cancel; repeated
-// scenario shapes reuse pooled warm topologies; /metrics exposes
+// scenario shapes lease pooled warm fabrics; /metrics exposes
 // Prometheus-style series. OPERATIONS.md is the operator's manual: every
 // endpoint, flag, signal, and metric.
 //
@@ -13,8 +13,8 @@
 //	ffserved -addr 127.0.0.1:9090
 //	ffserved -workers 16 -queue 256
 //	ffserved -timeout 5m         # per-job wall-clock ceiling
-//	ffserved -shards 4           # sharded engine for registry experiments
-//	ffserved -pool 64            # warm-topology pool entries
+//	ffserved -shards 4           # sharded engine for registry fig3x, fig3f, a6
+//	ffserved -pool 64            # idle warm-fabric pool entries
 //	ffserved -drain-grace 60s    # shutdown grace on SIGTERM/SIGINT
 //
 // SIGTERM/SIGINT stop admission, finish (or, past the grace, cancel)
@@ -33,7 +33,6 @@ import (
 	"syscall"
 	"time"
 
-	"fastflex/internal/experiment"
 	"fastflex/internal/serve"
 )
 
@@ -42,15 +41,11 @@ func main() {
 	workers := flag.Int("workers", 8, "concurrent job slots")
 	queue := flag.Int("queue", 64, "queued-job bound (beyond it, 429)")
 	timeout := flag.Duration("timeout", 10*time.Minute, "per-job wall-clock ceiling")
-	shards := flag.Int("shards", 0, "engine shard count for registry experiments (0 = serial)")
-	pool := flag.Int("pool", 32, "warm-topology pool entries")
+	shards := flag.Int("shards", 0, "engine shard count for registry fig3x, fig3f and a6 (0 = serial)")
+	pool := flag.Int("pool", 32, "idle warm-fabric pool entries")
 	maxJobs := flag.Int("max-jobs", 1024, "retained finished-job records")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "shutdown grace for in-flight jobs")
 	flag.Parse()
-
-	// Registry fig3x reads this global at run time, exactly as ffbench
-	// does; it is set once here, before any job can run.
-	experiment.DefaultShards = *shards
 
 	mgr := serve.NewManager(serve.Config{
 		Workers:        *workers,

@@ -245,29 +245,18 @@ func AblationFEC(seed int64) *Result {
 }
 
 // AblationPinning (A6) compares the §4.2 pin-normal-flows policy against
-// rerouting everything, using shortened Figure-3 runs.
-func AblationPinning(seed int64) *Result { return ablationPinning(seed, false, DefaultShards) }
-
-// AblationPinningShort is the CI-smoke variant: half the horizon, earlier
-// attack, same policies and shape checks.
-func AblationPinningShort(seed int64) *Result { return ablationPinning(seed, true, DefaultShards) }
-
-// AblationPinningSharded is the short A6 variant under an explicit engine
-// shard count; the sharded-golden tests use it to prove the ablation's
-// output is invariant in K.
-func AblationPinningSharded(seed int64, shards int) *Result {
-	return ablationPinning(seed, true, shards)
-}
-
-func ablationPinning(seed int64, short bool, shards int) *Result {
+// rerouting everything, using shortened Figure-3 runs. Short halves the
+// horizon and starts the attack earlier (same policies and shape checks);
+// the output is invariant in Shards for every K >= 1.
+func AblationPinning(o RunOpts) *Result {
 	res := &Result{Name: "A6: pinning normal flows vs rerouting all"}
 	tb := &metrics.Table{Header: []string{"policy", "attack-window goodput", "degraded<80%"}}
 	for _, all := range []bool{false, true} {
 		cfg := Figure3Config{
 			Defense: DefenseFastFlex, Duration: 60 * time.Second,
-			RerouteAllOverride: all, Seed: seed, Shards: shards,
+			RerouteAllOverride: all, Seed: o.Seed, Shards: o.Shards, Fabrics: o.Fabrics,
 		}
-		if short {
+		if o.Short {
 			cfg.Duration = 30 * time.Second
 			cfg.AttackStart = 10 * time.Second
 			cfg.ScoutEvery = 5 * time.Second

@@ -85,14 +85,6 @@ type Figure3Config struct {
 	// golden tests run every combination to prove it.
 	DisableBatch    bool
 	StaticLookahead bool
-	// Prebuilt, when non-nil, skips the topology build and reuses an
-	// already-attached topology (see BuildFig3Topology). The builders are
-	// deterministic, so a run over a prebuilt topology is byte-identical
-	// to one that builds its own; ffserved's engine pool relies on this
-	// to serve repeated scenario shapes from warm topologies. The graph
-	// is strictly read-only during a run, so one Prebuilt value may back
-	// any number of concurrent runs.
-	Prebuilt *Fig3Topology
 	// Fabrics, when non-nil, lets the run check a fully built warm fabric
 	// out instead of cold-building one (and check its own fabric back in
 	// afterwards). The run resets the checked-out fabric to its seed —
@@ -110,6 +102,29 @@ type Figure3Config struct {
 	// RegionSize is the ring size of each remote region (default 8,
 	// minimum 3; only used when LargeRegions > 0).
 	RegionSize int
+
+	// substrate, when non-nil, swaps what lies under the arm (Figure3f).
+	substrate *substrate
+}
+
+// substrate is the seam through which Figure3f runs the one rolling-LFA
+// arm over the planet-scale hybrid fluid/packet substrate instead of
+// carrying a private copy of it: a fabric built under it has the analytic
+// fluid links on (netsim.Config.Fluid). Everything else about the arm —
+// users, sampler, attacker, normalization, the warm-fabric lease — is
+// Figure3's.
+type substrate struct {
+	// key replaces the figure2/multiregion shape prefix of FabricKey, so
+	// the families never share a warm fabric.
+	key string
+	// topology builds the switch graph the hosts are attached to.
+	topology func() *topo.MultiRegion
+	// background starts the substrate's own flows on the leased fabric,
+	// before the users: event-creation order is part of the output.
+	background func(n *netsim.Network, bt *Fig3Topology)
+	// ledger reads whatever the substrate accounts for, after the run and
+	// before the fabric is checked in (a source may reset it at checkin).
+	ledger func(n *netsim.Network)
 }
 
 func (c *Figure3Config) fillDefaults() {
@@ -172,46 +187,37 @@ type fig3Topology interface {
 
 // Fig3Topology is a fully built Figure-3 topology: the graph with every
 // user, bot, and server host already attached. Construction is the only
-// phase that mutates the graph; a simulation run only ever reads it, so a
-// single Fig3Topology can back many runs — sequential or concurrent —
-// without affecting their results. ffserved's engine pool caches these as
-// "warm engines" keyed by topology shape.
+// phase that mutates the graph; a simulation run only ever reads it. It
+// travels with the fabric built over it (WarmFabric.Topo).
 type Fig3Topology struct {
 	G                    *topo.Graph
 	Users, Bots, Servers []topo.NodeID
+	// Regions holds each remote region's switch ring for the planet-scale
+	// layout, whose background flows walk them; nil otherwise.
+	Regions [][]topo.NodeID
 }
 
-// BuildFig3Topology constructs the topology a Figure3 run over cfg would
-// build for itself: the Figure-2 victim network, or the multi-region
-// ISP-scale variant when LargeRegions > 0. The builders are deterministic
-// (no RNG, creation-order node IDs), so two calls with equal configs
-// produce structurally identical graphs and a run over either is
-// byte-identical to a run that builds inline.
+// BuildFig3Topology constructs the topology a Figure3 run over cfg builds
+// for itself: the Figure-2 victim network, the multi-region ISP-scale
+// variant when LargeRegions > 0, or the substrate's own. The builders are
+// deterministic (no RNG, creation-order node IDs), so two calls with equal
+// configs produce structurally identical graphs.
 func BuildFig3Topology(cfg Figure3Config) *Fig3Topology {
 	cfg.fillDefaults()
 	var f fig3Topology = topo.NewFigure2()
+	bt := &Fig3Topology{}
 	if cfg.LargeRegions > 0 {
 		f = topo.NewMultiRegion(cfg.LargeRegions, cfg.RegionSize)
 	}
-	bt := &Fig3Topology{}
+	if cfg.substrate != nil {
+		m := cfg.substrate.topology()
+		f, bt.Regions = m, m.Regions
+	}
 	bt.Users = f.AttachUsers(cfg.Users)
 	bt.Bots = f.AttachBots(cfg.Bots)
 	bt.Servers = f.AttachServers(cfg.Servers)
 	bt.G = f.Graph()
 	return bt
-}
-
-// TopologyKey is a canonical fingerprint of the topology a config builds
-// (after defaults have been applied): two configs with equal keys build
-// structurally identical topologies, so their runs can share one
-// Fig3Topology. ffserved's engine pool uses this as its cache key.
-func (c Figure3Config) TopologyKey() string {
-	c.fillDefaults()
-	if c.LargeRegions > 0 {
-		return fmt.Sprintf("multiregion/%dx%d/u%d.b%d.s%d",
-			c.LargeRegions, c.RegionSize, c.Users, c.Bots, c.Servers)
-	}
-	return fmt.Sprintf("figure2/u%d.b%d.s%d", c.Users, c.Bots, c.Servers)
 }
 
 // FabricKey is a canonical fingerprint of everything a config's fabric
@@ -225,8 +231,15 @@ func (c Figure3Config) TopologyKey() string {
 // SDN controller is scenario wiring layered on a defense-off fabric.
 func (c Figure3Config) FabricKey() string {
 	c.fillDefaults()
-	return fmt.Sprintf("%s/off%t.ob%t.dr%t.ra%t.k%d.nb%t.sl%t",
-		c.TopologyKey(), c.Defense != DefenseFastFlex,
+	shape := "figure2"
+	if c.LargeRegions > 0 {
+		shape = fmt.Sprintf("multiregion/%dx%d", c.LargeRegions, c.RegionSize)
+	}
+	if c.substrate != nil {
+		shape = c.substrate.key
+	}
+	return fmt.Sprintf("%s/u%d.b%d.s%d/off%t.ob%t.dr%t.ra%t.k%d.nb%t.sl%t",
+		shape, c.Users, c.Bots, c.Servers, c.Defense != DefenseFastFlex,
 		c.DisableObfuscation, c.DisableDropper, c.RerouteAllOverride,
 		c.Shards, c.DisableBatch, c.StaticLookahead)
 }
@@ -252,6 +265,9 @@ type Figure3Result struct {
 
 // Figure3 reproduces the paper's Figure 3: normalized throughput of normal
 // user flows under a rolling link-flooding attack, for one defense arm.
+// It is the only place users, goodput sampler and attacker are wired onto
+// a leased fabric; every front end and every topology scale goes through
+// it.
 func Figure3(cfg Figure3Config) *Figure3Result {
 	cfg.fillDefaults()
 	setupStart := time.Now()
@@ -260,30 +276,23 @@ func Figure3(cfg Figure3Config) *Figure3Result {
 	// seed. A refused reset (the fabric was reconfigured since build)
 	// drops the entry and falls through to the cold build.
 	var wf *WarmFabric
-	var fab *core.Fabric
-	var bt *Fig3Topology
+	var key string
 	if cfg.Fabrics != nil {
-		if wf = cfg.Fabrics.Checkout(cfg.FabricKey()); wf != nil {
-			if err := wf.Fab.Reset(cfg.Seed); err != nil {
-				wf = nil
-			} else {
-				bt = wf.Topo.(*Fig3Topology)
-				fab = wf.Fab
-			}
+		key = cfg.FabricKey()
+		wf = cfg.Fabrics.Checkout(key)
+		if wf != nil && wf.Fab.Reset(cfg.Seed) != nil {
+			wf = nil
 		}
 	}
-	if fab == nil {
-		bt = cfg.Prebuilt
-		if bt == nil {
-			bt = BuildFig3Topology(cfg)
-		} else if len(bt.Users) != cfg.Users || len(bt.Bots) != cfg.Bots || len(bt.Servers) != cfg.Servers {
-			panic(fmt.Sprintf("experiment: prebuilt topology has %d/%d/%d users/bots/servers, config wants %d/%d/%d",
-				len(bt.Users), len(bt.Bots), len(bt.Servers), cfg.Users, cfg.Bots, cfg.Servers))
-		}
-		var srvAddr []packet.Addr
-		for _, s := range bt.Servers {
-			srvAddr = append(srvAddr, packet.HostAddr(int(s)))
-		}
+	if wf == nil {
+		wf = &WarmFabric{Key: key, Topo: BuildFig3Topology(cfg)}
+	}
+	bt := wf.Topo
+	var srvAddr []packet.Addr
+	for _, s := range bt.Servers {
+		srvAddr = append(srvAddr, packet.HostAddr(int(s)))
+	}
+	if wf.Fab == nil {
 		coreCfg := core.Config{
 			Protected:          srvAddr,
 			DefenseOff:         cfg.Defense != DefenseFastFlex,
@@ -295,22 +304,20 @@ func Figure3(cfg Figure3Config) *Figure3Result {
 		coreCfg.Net.Shards = cfg.Shards
 		coreCfg.Net.DisableBatch = cfg.DisableBatch
 		coreCfg.Net.StaticLookahead = cfg.StaticLookahead
+		coreCfg.Net.Fluid = cfg.substrate != nil
 		coreCfg.Reroute.RerouteAllOverride = cfg.RerouteAllOverride
 		var err error
-		fab, err = core.New(bt.G, coreCfg)
+		wf.Fab, err = core.New(bt.G, coreCfg)
 		if err != nil {
 			panic(fmt.Sprintf("experiment: building fabric: %v", err))
 		}
 	}
-	users := bt.Users
-	bots := bt.Bots
-	servers := bt.Servers
-	var srvAddr []packet.Addr
-	for _, s := range servers {
-		srvAddr = append(srvAddr, packet.HostAddr(int(s)))
-	}
+	fab := wf.Fab
 	n := fab.Net
 
+	if cfg.substrate != nil {
+		cfg.substrate.background(n, bt)
+	}
 	if cfg.Defense == DefenseBaseline {
 		bl := control.NewTEController(n, control.Config{Period: cfg.BaselinePeriod})
 		bl.Start()
@@ -320,7 +327,7 @@ func Figure3(cfg Figure3Config) *Figure3Result {
 	// They offer at most UserRateBps each but collapse TCP-style under
 	// loss, which is what gives Figure 3 its depth.
 	userSrcs := make([]*netsim.AIMDSource, 0, cfg.Users)
-	for i, u := range users {
+	for i, u := range bt.Users {
 		src := netsim.NewAIMDSource(n, u, srvAddr[i%len(srvAddr)], uint16(6000+i), 80, 1200)
 		src.SetMaxRate(cfg.UserRateBps)
 		src.Start()
@@ -340,7 +347,7 @@ func Figure3(cfg Figure3Config) *Figure3Result {
 
 	// The rolling Crossfire attacker.
 	atk := attack.NewCrossfire(n, attack.CrossfireConfig{
-		Bots: bots, Servers: srvAddr,
+		Bots: bt.Bots, Servers: srvAddr,
 		BotRateBps: cfg.BotRateBps, FlowsPerBot: cfg.FlowsPerBot,
 		TargetLinks: cfg.TargetLinks,
 		Rolling:     true, ScoutEvery: cfg.ScoutEvery,
@@ -375,14 +382,17 @@ func Figure3(cfg Figure3Config) *Figure3Result {
 	res.Series = []*metrics.Series{norm}
 	res.Note("stable goodput %.1f Mbps, attack-window mean %.0f%% of stable, %.0f%% of samples degraded below 80%%, attacker rolls %d",
 		stable*8/1e6, 100*res.AttackMean, 100*res.FractionDegraded, atk.Rolls)
+	res.Metric("attack_mean_"+cfg.Defense.String(), res.AttackMean)
+	res.Metric("degraded_"+cfg.Defense.String(), res.FractionDegraded)
+	res.Metric("stable_mbps_"+cfg.Defense.String(), stable*8/1e6)
+	if cfg.substrate != nil {
+		cfg.substrate.ledger(n)
+	}
 
 	// Hand the now-idle fabric back for the next same-shape run. This is
 	// the run's last touch of the fabric: a shared source (ffserved's
 	// pool) may lease it to another goroutine immediately.
 	if cfg.Fabrics != nil {
-		if wf == nil {
-			wf = &WarmFabric{Key: cfg.FabricKey(), Topo: bt, Fab: fab}
-		}
 		cfg.Fabrics.Checkin(wf)
 	}
 	return res
@@ -407,31 +417,37 @@ func fractionBelowBetween(s *metrics.Series, th float64, from, to time.Duration)
 // Figure3Compare runs all arms and assembles the side-by-side table the
 // paper's figure conveys.
 func Figure3Compare(base Figure3Config) *Result {
-	// Build (or reuse) the topology once and share it across the three
-	// arms: each arm only reads the graph, and the builders are
-	// deterministic, so this is byte-identical to per-arm builds.
-	if base.Prebuilt == nil {
-		base.Prebuilt = BuildFig3Topology(base)
-	}
 	res := &Result{Name: "Figure 3: FastFlex vs baseline under rolling LFA"}
-	tb := &metrics.Table{Header: []string{"defense", "stable Mbps", "attack mean", "degraded<80%", "rolls"}}
-	for _, d := range []Defense{DefenseNone, DefenseBaseline, DefenseFastFlex} {
+	arms := compareArms(res, base, []Defense{DefenseNone, DefenseBaseline, DefenseFastFlex},
+		"attack_mean_", "degraded_", "stable_mbps_")
+	for _, r := range arms {
+		res.Notes = append(res.Notes, r.Notes...)
+	}
+	return res
+}
+
+// compareArms runs base once per defense and folds each arm into res: a
+// table row, the throughput series, the workload and setup-wall totals,
+// and the arm's own metrics with the given prefixes.
+func compareArms(res *Result, base Figure3Config, arms []Defense, metricPrefixes ...string) []*Figure3Result {
+	res.Table = &metrics.Table{Header: []string{"defense", "stable Mbps", "attack mean", "degraded<80%", "rolls"}}
+	var out []*Figure3Result
+	for _, d := range arms {
 		cfg := base
 		cfg.Defense = d
 		r := Figure3(cfg)
-		tb.AddRow(d.String(),
+		res.Table.AddRow(d.String(),
 			fmt.Sprintf("%.1f", r.StableMean*8/1e6),
 			fmt.Sprintf("%.2f", r.AttackMean),
 			fmt.Sprintf("%.2f", r.FractionDegraded),
 			fmt.Sprintf("%d", r.Rolls))
 		res.Series = append(res.Series, r.Throughput)
-		res.Notes = append(res.Notes, r.Notes...)
-		res.Metric("attack_mean_"+d.String(), r.AttackMean)
-		res.Metric("degraded_"+d.String(), r.FractionDegraded)
-		res.Metric("stable_mbps_"+d.String(), r.StableMean*8/1e6)
+		for _, p := range metricPrefixes {
+			res.Metric(p+d.String(), r.Metrics[p+d.String()])
+		}
 		res.Workload(r.Events, r.Packets)
 		res.SetupWall += r.SetupWall
+		out = append(out, r)
 	}
-	res.Table = tb
-	return res
+	return out
 }

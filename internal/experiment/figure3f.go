@@ -5,11 +5,7 @@ import (
 	"math"
 	"time"
 
-	"fastflex/internal/attack"
-	"fastflex/internal/core"
-	"fastflex/internal/metrics"
 	"fastflex/internal/netsim"
-	"fastflex/internal/packet"
 	"fastflex/internal/topo"
 )
 
@@ -86,175 +82,53 @@ func (c *Figure3fConfig) fillDefaults() {
 	}
 }
 
-// Fig3fTopology is a fully built planet-scale topology with its host
-// populations attached: the fig3f analog of Fig3Topology. The builder
-// value is retained because the background-flow layout walks its region
-// rings. Like Fig3Topology, the graph is only mutated during
-// construction; runs read it, so one value backs many runs.
-type Fig3fTopology struct {
-	M                    *topo.MultiRegion
-	G                    *topo.Graph
-	Users, Bots, Servers []topo.NodeID
-}
-
-// buildFig3fTopology constructs the topology a figure3fRun over cfg
-// builds for itself; deterministic, so prebuilt and inline runs are
-// byte-identical.
-func buildFig3fTopology(cfg Figure3fConfig) *Fig3fTopology {
-	m := topo.NewPlanetScale(cfg.Regions, cfg.BaseRing)
-	bt := &Fig3fTopology{M: m}
-	bt.Users = m.AttachUsers(cfg.Users)
-	bt.Bots = m.AttachBots(cfg.Bots)
-	bt.Servers = m.AttachServers(cfg.Servers)
-	bt.G = m.Graph()
-	return bt
-}
-
-// fabricKey fingerprints everything a fig3f arm's fabric build consumes
-// except the seed, in the same spirit as Figure3Config.FabricKey. The
-// "planet/" prefix keeps the key space disjoint from the Figure-3
-// families, so a FabricSource shared across experiments never hands one
-// family the other's topology type.
-func (c Figure3fConfig) fabricKey(defense Defense) string {
-	c.fillDefaults()
-	return fmt.Sprintf("planet/%dx%d/u%d.b%d.s%d/off%t.k%d",
-		c.Regions, c.BaseRing, c.Users, c.Bots, c.Servers,
-		defense != DefenseFastFlex, c.Shards)
-}
-
-// fig3fArm runs one defense arm and reports the foreground series plus the
-// fluid substrate's byte ledger.
-type fig3fArm struct {
-	fig *Figure3Result
-	// Fluid ledger, bytes over the whole run.
+// fluidLedger is the fluid substrate's byte ledger over one whole arm,
+// plus the population it modeled.
+type fluidLedger struct {
 	injected, delivered, dropped, queued float64
 	modeledHosts                         uint64
-	events, packets                      uint64
-	setupWall                            time.Duration
 }
 
-func figure3fRun(cfg Figure3fConfig, defense Defense) fig3fArm {
-	setupStart := time.Now()
-	var wf *WarmFabric
-	var fab *core.Fabric
-	var bt *Fig3fTopology
-	if cfg.Fabrics != nil {
-		if wf = cfg.Fabrics.Checkout(cfg.fabricKey(defense)); wf != nil {
-			if err := wf.Fab.Reset(cfg.Seed); err != nil {
-				wf = nil
-			} else {
-				bt = wf.Topo.(*Fig3fTopology)
-				fab = wf.Fab
-			}
-		}
-	}
-	if fab == nil {
-		bt = buildFig3fTopology(cfg)
-		var srvAddr []packet.Addr
-		for _, s := range bt.Servers {
-			srvAddr = append(srvAddr, packet.HostAddr(int(s)))
-		}
-		coreCfg := core.Config{Protected: srvAddr, DefenseOff: defense != DefenseFastFlex}
-		coreCfg.Net = netsim.DefaultConfig()
-		coreCfg.Net.Seed = cfg.Seed
-		coreCfg.Net.Shards = cfg.Shards
-		coreCfg.Net.Fluid = true
-		var err error
-		fab, err = core.New(bt.G, coreCfg)
-		if err != nil {
-			panic(fmt.Sprintf("experiment: building fig3f fabric: %v", err))
-		}
-	}
-	m := bt.M
-	users := bt.Users
-	bots := bt.Bots
-	servers := bt.Servers
-	var srvAddr []packet.Addr
-	for _, s := range servers {
-		srvAddr = append(srvAddr, packet.HostAddr(int(s)))
-	}
-	n := fab.Net
-
-	// Background population: one fluid flow per ingress switch, crossing
-	// half its region ring (regional churn), plus one flow per region from
-	// its first ingress to a victim server (inter-region baseline load that
-	// transits the backbone and the victim cores). Flow creation order is
-	// the deterministic region/ring order.
-	rate := float64(cfg.HostsPerFlow) * cfg.BgPerHostBps
-	var flows []*netsim.FluidFlow
-	for ri, ring := range m.Regions {
-		for i := 2; i < len(ring); i++ {
-			dst := ring[(i+len(ring)/2)%len(ring)]
-			f := n.NewFluidFlow(ring[i], dst, rate, cfg.HostsPerFlow)
-			f.Start()
-			flows = append(flows, f)
-		}
-		f := n.NewFluidFlow(ring[2], servers[ri%len(servers)], rate, cfg.HostsPerFlow)
-		f.Start()
-		flows = append(flows, f)
-	}
-
-	userSrcs := make([]*netsim.AIMDSource, 0, cfg.Users)
-	for i, u := range users {
-		src := netsim.NewAIMDSource(n, u, srvAddr[i%len(srvAddr)], uint16(6000+i), 80, 1200)
-		src.SetMaxRate(5e6)
-		src.Start()
-		userSrcs = append(userSrcs, src)
-	}
-	userGoodput := func() uint64 {
-		var total uint64
-		for _, src := range userSrcs {
-			total += src.AckedBytes()
-		}
-		return total
-	}
-	sampler := metrics.RateSampler(n.Eng, fmt.Sprintf("user goodput (%v)", defense),
-		time.Second, userGoodput)
-
-	atk := attack.NewCrossfire(n, attack.CrossfireConfig{
-		Bots: bots, Servers: srvAddr,
-		BotRateBps: 1.5e6, FlowsPerBot: 2,
-		TargetLinks: 1,
-		Rolling:     true, ScoutEvery: 8 * time.Second,
-		Start: cfg.AttackStart,
-	})
-	atk.Launch()
-
-	setupWall := time.Since(setupStart)
-	fab.Run(cfg.Duration)
-	sampler.Stop()
-
-	raw := sampler.S
-	stable := raw.MeanBetween(5*time.Second, cfg.AttackStart)
-	norm := raw.Normalize(stable)
-	norm.Name = fmt.Sprintf("normalized user throughput (%v)", defense)
-
-	arm := fig3fArm{
-		fig: &Figure3Result{
-			Throughput: norm,
-			StableMean: stable,
-			AttackMean: norm.MeanBetween(cfg.AttackStart+2*time.Second, cfg.Duration),
-			Rolls:      atk.Rolls,
+// figure3 maps the planet-scale config onto the one rolling-LFA arm
+// (Figure3): the arm's traffic constants are Figure3Config's defaults, and
+// the substrate hook supplies what differs — the planet topology, fluid
+// links, and the background population. Each arm's ledger lands in *led.
+func (c Figure3fConfig) figure3(led *fluidLedger) Figure3Config {
+	return Figure3Config{
+		Duration: c.Duration, AttackStart: c.AttackStart,
+		Users: c.Users, Servers: c.Servers, Bots: c.Bots,
+		Seed: c.Seed, Shards: c.Shards, Fabrics: c.Fabrics,
+		substrate: &substrate{
+			key:      fmt.Sprintf("planet/%dx%d", c.Regions, c.BaseRing),
+			topology: func() *topo.MultiRegion { return topo.NewPlanetScale(c.Regions, c.BaseRing) },
+			// Background population: one fluid flow per ingress switch,
+			// crossing half its region ring (regional churn), plus one flow
+			// per region from its first ingress to a victim server
+			// (inter-region baseline load that transits the backbone and the
+			// victim cores). Flow creation order is the deterministic
+			// region/ring order. Fluid flows are run state (torn down by a
+			// reset), so none of this is in the fabric key.
+			background: func(n *netsim.Network, bt *Fig3Topology) {
+				rate := float64(c.HostsPerFlow) * c.BgPerHostBps
+				for ri, ring := range bt.Regions {
+					for i := 2; i < len(ring); i++ {
+						dst := ring[(i+len(ring)/2)%len(ring)]
+						n.NewFluidFlow(ring[i], dst, rate, c.HostsPerFlow).Start()
+					}
+					n.NewFluidFlow(ring[2], bt.Servers[ri%len(bt.Servers)], rate, c.HostsPerFlow).Start()
+				}
+			},
+			ledger: func(n *netsim.Network) {
+				*led = fluidLedger{
+					injected:     n.FluidInjectedBytes(),
+					delivered:    n.FluidDeliveredBytes(),
+					dropped:      n.FluidDroppedBytes(),
+					queued:       n.FluidQueuedBytes(),
+					modeledHosts: uint64(n.ModeledHosts()),
+				}
+			},
 		},
-		queued:       n.FluidQueuedBytes(),
-		delivered:    n.FluidDeliveredBytes(),
-		dropped:      n.FluidDroppedBytes(),
-		modeledHosts: uint64(n.ModeledHosts()),
-		events:       n.EventsFired(),
-		packets:      n.PacketsProcessed(),
-		setupWall:    setupWall,
 	}
-	arm.injected = n.FluidInjectedBytes()
-	arm.fig.FractionDegraded = fractionBelowBetween(norm, 0.8, cfg.AttackStart+2*time.Second, cfg.Duration)
-
-	// Last touch of the fabric: hand it back for the next same-shape arm.
-	if cfg.Fabrics != nil {
-		if wf == nil {
-			wf = &WarmFabric{Key: cfg.fabricKey(defense), Topo: bt, Fab: fab}
-		}
-		cfg.Fabrics.Checkin(wf)
-	}
-	return arm
 }
 
 // Figure3f runs the undefended and FastFlex arms of the planet-scale
@@ -262,25 +136,10 @@ func figure3fRun(cfg Figure3fConfig, defense Defense) fig3fArm {
 func Figure3f(cfg Figure3fConfig) *Result {
 	cfg.fillDefaults()
 	res := &Result{Name: "Figure 3f: planet-scale hybrid fluid/packet rolling LFA"}
-	tb := &metrics.Table{Header: []string{"defense", "stable Mbps", "attack mean", "degraded<80%", "rolls"}}
-	var arms []fig3fArm
-	for _, d := range []Defense{DefenseNone, DefenseFastFlex} {
-		a := figure3fRun(cfg, d)
-		arms = append(arms, a)
-		tb.AddRow(d.String(),
-			fmt.Sprintf("%.1f", a.fig.StableMean*8/1e6),
-			fmt.Sprintf("%.2f", a.fig.AttackMean),
-			fmt.Sprintf("%.2f", a.fig.FractionDegraded),
-			fmt.Sprintf("%d", a.fig.Rolls))
-		res.Series = append(res.Series, a.fig.Throughput)
-		res.Metric("attack_mean_"+d.String(), a.fig.AttackMean)
-		res.Metric("stable_mbps_"+d.String(), a.fig.StableMean*8/1e6)
-		res.Workload(a.events, a.packets)
-		res.SetupWall += a.setupWall
-	}
-	res.Table = tb
+	var ff fluidLedger // the FastFlex arm runs last and carries the headline ledger
+	compareArms(res, cfg.figure3(&ff), []Defense{DefenseNone, DefenseFastFlex},
+		"attack_mean_", "stable_mbps_")
 
-	ff := arms[len(arms)-1] // FastFlex arm carries the headline ledger
 	res.ModeledHosts = ff.modeledHosts
 	res.Metric("modeled_hosts", float64(ff.modeledHosts))
 	res.Metric("events_per_modeled_host", float64(res.Events)/float64(2*ff.modeledHosts))

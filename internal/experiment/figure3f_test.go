@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"fmt"
+	"hash/fnv"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -25,17 +28,23 @@ func fig3fSmallCfg(shards int) Figure3fConfig {
 // be byte-identical across shard counts 1, 2, and 4 — foreground series and
 // the fluid byte ledger alike.
 func TestFigure3fShardInvariant(t *testing.T) {
-	base := figure3fRun(fig3fSmallCfg(1), DefenseFastFlex)
+	arm := func(shards int) (*Figure3Result, fluidLedger) {
+		var led fluidLedger
+		cfg := fig3fSmallCfg(shards).figure3(&led)
+		cfg.Defense = DefenseFastFlex
+		return Figure3(cfg), led
+	}
+	base, baseLed := arm(1)
 	for _, k := range []int{2, 4} {
-		got := figure3fRun(fig3fSmallCfg(k), DefenseFastFlex)
-		if got.fig.StableMean != base.fig.StableMean ||
-			got.fig.AttackMean != base.fig.AttackMean ||
-			got.fig.Rolls != base.fig.Rolls {
+		got, led := arm(k)
+		if got.StableMean != base.StableMean ||
+			got.AttackMean != base.AttackMean ||
+			got.Rolls != base.Rolls {
 			t.Errorf("shards=%d: headline diverged: stable %v/%v attack %v/%v rolls %d/%d",
-				k, got.fig.StableMean, base.fig.StableMean,
-				got.fig.AttackMean, base.fig.AttackMean, got.fig.Rolls, base.fig.Rolls)
+				k, got.StableMean, base.StableMean,
+				got.AttackMean, base.AttackMean, got.Rolls, base.Rolls)
 		}
-		gs, bs := got.fig.Throughput, base.fig.Throughput
+		gs, bs := got.Throughput, base.Throughput
 		if len(gs.V) != len(bs.V) {
 			t.Fatalf("shards=%d: series length %d, want %d", k, len(gs.V), len(bs.V))
 		}
@@ -45,15 +54,8 @@ func TestFigure3fShardInvariant(t *testing.T) {
 					k, i, gs.T[i], gs.V[i], bs.T[i], bs.V[i])
 			}
 		}
-		if got.injected != base.injected {
-			t.Errorf("shards=%d: fluid injected %v, want %v", k, got.injected, base.injected)
-		}
-		if got.delivered != base.delivered || got.dropped != base.dropped {
-			t.Errorf("shards=%d: fluid ledger (%v, %v), want (%v, %v)",
-				k, got.delivered, got.dropped, base.delivered, base.dropped)
-		}
-		if got.modeledHosts != base.modeledHosts {
-			t.Errorf("shards=%d: modeled hosts %d, want %d", k, got.modeledHosts, base.modeledHosts)
+		if led != baseLed {
+			t.Errorf("shards=%d: fluid ledger %+v, want %+v", k, led, baseLed)
 		}
 	}
 }
@@ -87,5 +89,49 @@ func TestFigure3fMetrics(t *testing.T) {
 	}
 	if res.Metrics["packet_equiv_event_ratio"] <= 0 {
 		t.Error("packet_equiv_event_ratio missing")
+	}
+}
+
+// fig3fGolden freezes one full Figure-3f comparison (both arms): the
+// rendered text by hash, the workload counters, and every metric
+// bit-exact.
+type fig3fGolden struct {
+	TextFNV string             `json:"text_fnv64a"`
+	Events  uint64             `json:"events"`
+	Packets uint64             `json:"packets"`
+	Metrics map[string]float64 `json:"metrics"`
+}
+
+// TestFigure3fGoldenIdentical pins the planet-scale hybrid comparison to
+// bytes recorded while fig3f still carried its own copy of the rolling-LFA
+// arm: the shared arm in Figure3 must reproduce them on both the serial
+// and the windowed engine.
+func TestFigure3fGoldenIdentical(t *testing.T) {
+	got := map[string]fig3fGolden{}
+	for _, shards := range []int{0, 2} {
+		if testing.Short() && shards != 0 {
+			continue // short mode runs the serial engine only
+		}
+		r := Figure3f(Figure3fConfig{
+			Seed: 7, Shards: shards, HostsPerFlow: 250,
+			Duration: 20 * time.Second, AttackStart: 8 * time.Second,
+		})
+		h := fnv.New64a()
+		h.Write([]byte(r.String()))
+		got[fmt.Sprintf("shards=%d", shards)] = fig3fGolden{
+			TextFNV: fmt.Sprintf("%016x", h.Sum64()),
+			Events:  r.Events, Packets: r.Packets, Metrics: r.Metrics,
+		}
+	}
+	if *updateGolden {
+		writeGolden(t, "fig3f_golden.json", got)
+		return
+	}
+	var want map[string]fig3fGolden
+	readGolden(t, "fig3f_golden.json", &want)
+	for name, g := range got {
+		if !reflect.DeepEqual(g, want[name]) {
+			t.Errorf("%s diverged from golden:\ngot  %+v\nwant %+v", name, g, want[name])
+		}
 	}
 }

@@ -97,8 +97,8 @@ func TestAblationPinningShardedEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four 30s-horizon fabric runs; fig3 sharded golden covers short mode")
 	}
-	one := AblationPinningSharded(7, 1)
-	four := AblationPinningSharded(7, 4)
+	one := AblationPinning(RunOpts{Seed: 7, Short: true, Shards: 1})
+	four := AblationPinning(RunOpts{Seed: 7, Short: true, Shards: 4})
 	if got, want := four.Table.CSV(), one.Table.CSV(); got != want {
 		t.Errorf("A6 table diverges between shards=1 and shards=4:\nshards=4:\n%s\nshards=1:\n%s", got, want)
 	}

@@ -130,7 +130,7 @@ func TestAblationPinningGoldenIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 30s-horizon fabric runs; covered by TestFigure3GoldenIdentical in short mode")
 	}
-	r := AblationPinningShort(7)
+	r := AblationPinning(RunOpts{Seed: 7, Short: true})
 	got := ablationGolden{CSV: r.Table.CSV(), Metrics: r.Metrics}
 	if *updateGolden {
 		writeGolden(t, "a6_golden.json", got)

@@ -13,6 +13,8 @@ type Spec struct {
 	Seed int64
 	// Short selects the Def's cut-down variant when it has one.
 	Short bool
+	// Shards is the engine shard count handed to the Def (RunOpts.Shards).
+	Shards int
 }
 
 // RunResult is the outcome of one Spec, with the measurements ffbench's
@@ -46,19 +48,15 @@ type RunResult struct {
 // worker count or completion order; Run returns results indexed by Spec
 // position, so callers iterate them deterministically.
 //
-// Each worker owns a private FabricCache: experiments with a WarmRun
-// variant check finished fabrics back into it, and later seeds of the
-// same shape reset-and-reuse them instead of cold-building
-// (byte-identical by the reset contract). Reuse is strictly worker-local
-// — no simulation object ever crosses a goroutine — so the boundary
-// above holds exactly as before.
+// Each worker owns a private FabricCache: fabric-building experiments
+// check finished fabrics back into it, and later seeds of the same shape
+// reset-and-reuse them instead of cold-building (byte-identical by the
+// reset contract). Reuse is strictly worker-local — no simulation object
+// ever crosses a goroutine — so the boundary above holds exactly as
+// before.
 type Runner struct {
 	// Workers is the pool size; 0 or less means runtime.NumCPU().
 	Workers int
-	// NoWarm disables the per-worker fabric caches, forcing every run to
-	// cold-build its fabric (ffbench -nowarm; also how the reuse win is
-	// measured).
-	NoWarm bool
 }
 
 // Run executes all specs and returns one RunResult per spec, in spec
@@ -80,12 +78,9 @@ func (r *Runner) Run(specs []Spec) []RunResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var cache *FabricCache
-			if !r.NoWarm {
-				cache = NewFabricCache(0)
-			}
+			cache := NewFabricCache(0)
 			for i := range jobs {
-				results[i] = runOne(specs[i], cache)
+				results[i] = RunOne(specs[i], cache)
 				results[i].AllocExact = allocExact
 			}
 		}()
@@ -98,9 +93,11 @@ func (r *Runner) Run(specs []Spec) []RunResult {
 	return results
 }
 
-// runOne executes one spec, preferring the Def's warm variant when the
-// worker has a cache and the Def supports it.
-func runOne(spec Spec, cache *FabricCache) (rr RunResult) {
+// RunOne executes one spec on the calling goroutine, handing the Def the
+// given fabric source (nil: every fabric is cold-built). A panicking
+// experiment is reported in RunResult.Err. The Runner calls it per worker;
+// ffserved calls it directly with its lease pool.
+func RunOne(spec Spec, fabrics FabricSource) (rr RunResult) {
 	rr.ID = spec.Def.ID
 	rr.Seed = spec.Seed
 	defer func() {
@@ -108,20 +105,10 @@ func runOne(spec Spec, cache *FabricCache) (rr RunResult) {
 			rr.Err = fmt.Errorf("experiment %s (seed %d) panicked: %v", rr.ID, rr.Seed, p)
 		}
 	}()
-	run := spec.Def.Run
-	warm := spec.Def.WarmRun
-	if spec.Short && spec.Def.ShortRun != nil {
-		run = spec.Def.ShortRun
-		warm = spec.Def.WarmShortRun
-	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	if warm != nil && cache != nil {
-		rr.Result = warm(spec.Seed, cache)
-	} else {
-		rr.Result = run(spec.Seed)
-	}
+	rr.Result = spec.Def.Run(RunOpts{Seed: spec.Seed, Short: spec.Short, Shards: spec.Shards, Fabrics: fabrics})
 	rr.Wall = time.Since(start)
 	runtime.ReadMemStats(&after)
 	rr.AllocBytes = after.TotalAlloc - before.TotalAlloc
@@ -132,7 +119,7 @@ func runOne(spec Spec, cache *FabricCache) (rr RunResult) {
 // experiments get one Spec per seed, unseeded ones a single Spec. The
 // expansion order (definition-major) is the deterministic order ffbench
 // reports in.
-func Specs(defs []Def, seeds []int64, short bool) []Spec {
+func Specs(defs []Def, seeds []int64, short bool, shards int) []Spec {
 	var specs []Spec
 	for _, d := range defs {
 		if !d.Seeded || len(seeds) == 0 {
@@ -140,11 +127,11 @@ func Specs(defs []Def, seeds []int64, short bool) []Spec {
 			if len(seeds) > 0 {
 				seed = seeds[0]
 			}
-			specs = append(specs, Spec{Def: d, Seed: seed, Short: short})
+			specs = append(specs, Spec{Def: d, Seed: seed, Short: short, Shards: shards})
 			continue
 		}
 		for _, s := range seeds {
-			specs = append(specs, Spec{Def: d, Seed: s, Short: short})
+			specs = append(specs, Spec{Def: d, Seed: s, Short: short, Shards: shards})
 		}
 	}
 	return specs

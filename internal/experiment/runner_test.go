@@ -24,7 +24,7 @@ func a5Defs(t *testing.T) []Def {
 func TestRunnerParallelMatchesSerial(t *testing.T) {
 	defs := a5Defs(t)
 	seeds := []int64{1, 2, 3, 4}
-	specs := Specs(defs, seeds, false)
+	specs := Specs(defs, seeds, false, 0)
 	serial := (&Runner{Workers: 1}).Run(specs)
 	parallel := (&Runner{Workers: 4}).Run(specs)
 	if len(serial) != len(specs) || len(parallel) != len(specs) {
@@ -51,8 +51,8 @@ func TestRunnerParallelMatchesSerial(t *testing.T) {
 // its RunResult without taking down the pool or the other runs.
 func TestRunnerRecoversPanics(t *testing.T) {
 	boom := Def{ID: "boom", Desc: "always panics", Seeded: true,
-		Run: func(int64) *Result { panic("kaboom") }}
-	specs := Specs(append(a5Defs(t), boom), []int64{1}, false)
+		Run: func(RunOpts) *Result { panic("kaboom") }}
+	specs := Specs(append(a5Defs(t), boom), []int64{1}, false, 0)
 	results := (&Runner{Workers: 2}).Run(specs)
 	if results[0].Err != nil || results[0].Result == nil {
 		t.Fatalf("healthy run failed: %+v", results[0])
@@ -62,13 +62,41 @@ func TestRunnerRecoversPanics(t *testing.T) {
 	}
 }
 
+// TestRegistryShortWarmMatchesCold runs every registry experiment with a
+// short variant down the one run path three times — no fabric source, then
+// twice through one FabricCache (cold fill, warm reuse) — and requires the
+// same rendered bytes each time.
+func TestRegistryShortWarmMatchesCold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every short registry variant three times")
+	}
+	for _, d := range Registry() {
+		if !d.HasShort {
+			continue
+		}
+		t.Run(d.ID, func(t *testing.T) {
+			opts := RunOpts{Seed: 1, Short: true}
+			cold := d.Run(opts).String()
+			cache := NewFabricCache(0)
+			opts.Fabrics = cache
+			fill, warm := d.Run(opts).String(), d.Run(opts).String()
+			if cache.Hits == 0 {
+				t.Errorf("second pass reused no fabric (hits=%d misses=%d)", cache.Hits, cache.Misses)
+			}
+			if fill != cold || warm != cold {
+				t.Errorf("rendered result depends on the fabric source:\ncold:\n%s\nfill:\n%s\nwarm:\n%s", cold, fill, warm)
+			}
+		})
+	}
+}
+
 // TestSpecsExpansion checks seeded/unseeded fan-out and ordering.
 func TestSpecsExpansion(t *testing.T) {
 	defs := []Def{
-		{ID: "u", Run: func(int64) *Result { return &Result{} }},
-		{ID: "s", Seeded: true, Run: func(int64) *Result { return &Result{} }},
+		{ID: "u", Run: func(RunOpts) *Result { return &Result{} }},
+		{ID: "s", Seeded: true, Run: func(RunOpts) *Result { return &Result{} }},
 	}
-	specs := Specs(defs, []int64{1, 2, 3}, false)
+	specs := Specs(defs, []int64{1, 2, 3}, false, 0)
 	var got []string
 	for _, sp := range specs {
 		got = append(got, sp.Def.ID)

@@ -14,13 +14,10 @@ import "fastflex/internal/core"
 // and ffserved's pool implements FabricSource with exclusive leases.
 
 // WarmFabric couples a built fabric with the topology it was built over
-// and the FabricKey identifying its build-time configuration. The Topo
-// field carries the experiment-specific topology value (*Fig3Topology for
-// Figure-3 scenarios, *Fig3fTopology for the planet-scale hybrid); keys
-// embed the experiment family, so a checkout never sees a foreign type.
+// and the FabricKey identifying its build-time configuration.
 type WarmFabric struct {
 	Key  string
-	Topo any
+	Topo *Fig3Topology
 	Fab  *core.Fabric
 }
 
@@ -40,12 +37,14 @@ type FabricSource interface {
 	Checkin(wf *WarmFabric)
 }
 
-// FabricCache is a worker-local FabricSource: an LRU-bounded map of idle
-// warm fabrics. It is deliberately NOT safe for concurrent use — each
-// Runner worker owns one, which keeps reuse strictly worker-local and
-// preserves the concurrency boundary (no simulation object ever crosses
-// goroutines). Checkout removes the entry, so even a buggy double-checkout
-// of one key yields two independent fabrics, never a shared one.
+// FabricCache is the repository's one LRU of idle warm fabrics, and by
+// itself a worker-local FabricSource. It is deliberately NOT safe for
+// concurrent use — each Runner worker owns one, which keeps reuse strictly
+// worker-local and preserves the concurrency boundary (no simulation
+// object ever crosses goroutines); ffserved's pool holds one under its own
+// mutex and adds leases on top. Checkout removes the entry, so even a
+// buggy double-checkout of one key yields two independent fabrics, never
+// a shared one.
 type FabricCache struct {
 	// Max bounds retained idle fabrics (default 4 when constructed with
 	// NewFabricCache): a worker sweeping seeds touches few distinct shapes,
@@ -54,7 +53,7 @@ type FabricCache struct {
 	entries map[string]*WarmFabric
 	order   []string // LRU order: least recently used first
 
-	Hits, Misses uint64
+	Hits, Misses, Evictions uint64
 }
 
 // NewFabricCache returns a cache bounded to max idle fabrics (<=0 takes
@@ -101,8 +100,12 @@ func (c *FabricCache) Checkin(wf *WarmFabric) {
 	if len(c.order) > c.Max {
 		delete(c.entries, c.order[0])
 		c.order = c.order[1:]
+		c.Evictions++
 	}
 }
+
+// Len returns the number of idle fabrics held.
+func (c *FabricCache) Len() int { return len(c.entries) }
 
 func (c *FabricCache) remove(key string) {
 	for i, k := range c.order {

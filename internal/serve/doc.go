@@ -3,7 +3,7 @@
 // experiment name, or an inline topology builder + attack controller +
 // booster toggles + horizon), runs them on a bounded worker pool with
 // per-job isolation, and exposes job lifecycle, admin, and Prometheus-style
-// metrics endpoints. Repeated scenario shapes reuse pooled warm topologies
+// metrics endpoints. Repeated scenario shapes lease pooled warm fabrics
 // (the "engine pool") instead of cold-starting every build.
 //
 // Layer (DESIGN.md §2): above internal/experiment, the top of the DAG —
@@ -21,5 +21,5 @@
 // reductions over map order here, which is what makes the package's core
 // guarantee hold: identical specs with identical seeds return byte-identical
 // result payloads whether the job ran serially, concurrently with other
-// tenants, or against a warm pooled topology.
+// tenants, or on a warm pooled fabric.
 package serve

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -29,8 +30,8 @@ type Config struct {
 	// oldest finished jobs are evicted first.
 	MaxJobs int
 	// Shards is the daemon-wide engine shard count registry experiments
-	// run with, mirroring ffbench -shards. cmd/ffserved also assigns it
-	// to experiment.DefaultShards at startup, before any job runs.
+	// run with (experiment.RunOpts.Shards), mirroring ffbench -shards.
+	// Inline scenarios carry their own.
 	Shards int
 	// Defs is the experiment registry served (default
 	// experiment.Registry()). Tests inject panicking or slow definitions
@@ -187,8 +188,8 @@ func (m *Manager) Submit(req JobRequest) (*JobStatus, error) {
 		state:    StateQueued,
 		cancelCh: make(chan struct{}),
 	}
-	j.def = m.buildDef(j)
-	j.specs = experiment.Specs([]experiment.Def{j.def}, req.Seeds, req.Short)
+	j.def = m.resolveDef(&req)
+	j.specs = experiment.Specs([]experiment.Def{j.def}, req.Seeds, req.Short, m.cfg.Shards)
 	j.runsTotal = len(j.specs)
 
 	m.mu.Lock()
@@ -214,60 +215,35 @@ func (m *Manager) Submit(req JobRequest) (*JobStatus, error) {
 	return st, nil
 }
 
-// buildDef resolves the job's request to the experiment definition its
-// runs execute. Experiments with a warm variant — inline scenarios and
-// any registry Def carrying WarmRun — lease fabrics from the daemon-wide
-// engine pool; the rest run their definition as-is.
-func (m *Manager) buildDef(j *job) experiment.Def {
-	fx := &jobFabrics{m: m, j: j}
-	if sc := j.req.Scenario; sc != nil {
-		return experiment.Def{
-			ID: "scenario", Desc: "inline scenario", Seeded: true,
-			Run: func(seed int64) *experiment.Result {
-				cfg, err := sc.config(seed)
-				if err != nil {
-					// normalize already ran the translation; this cannot
-					// trip for an admitted job.
-					panic(fmt.Sprintf("serve: translating admitted scenario: %v", err))
-				}
-				cfg.Fabrics = fx
-				return runScenario(cfg, sc.Defense)
-			},
-		}
+// resolveDef maps a normalized request to the experiment definition its
+// runs execute: the inline scenario's, or the registry entry as-is.
+func (m *Manager) resolveDef(req *JobRequest) experiment.Def {
+	if req.Scenario != nil {
+		return req.Scenario.def()
 	}
-	var def experiment.Def
 	for _, d := range m.cfg.Defs {
-		if d.ID == j.req.Experiment {
-			def = d
-			break
+		if d.ID == req.Experiment {
+			return d
 		}
 	}
-	// Bind the warm variants to the manager's pool and clear them from the
-	// pooled Def: the per-job Runner must execute exactly these closures,
-	// not substitute a worker-local cache of its own.
-	pooled := def
-	if warm := def.WarmRun; warm != nil {
-		pooled.Run = func(seed int64) *experiment.Result { return warm(seed, fx) }
-	}
-	if warm := def.WarmShortRun; warm != nil {
-		pooled.ShortRun = func(seed int64) *experiment.Result { return warm(seed, fx) }
-	}
-	pooled.WarmRun, pooled.WarmShortRun = nil, nil
-	return pooled
+	return experiment.Def{} // unreachable: normalize matched the id
 }
 
 // jobFabrics adapts the manager's engine pool to experiment.FabricSource
-// for one job, booking pool hits and misses against the job's record. The
-// pool is safe for concurrent use, so arms and seeds of one job — and any
-// number of jobs — share it; exclusivity of each leased fabric is the
-// pool's checkout contract.
+// for one job, booking pool hits and misses against the job's record and
+// remembering which leases are still out. The pool is safe for concurrent
+// use, so any number of jobs share it; exclusivity of each leased fabric
+// is the pool's checkout contract. A job's runs are strictly serial, so
+// outstanding needs no lock of its own.
 type jobFabrics struct {
-	m *Manager
-	j *job
+	m           *Manager
+	j           *job
+	outstanding []string // keys checked out and not yet checked in
 }
 
 func (f *jobFabrics) Checkout(key string) *experiment.WarmFabric {
 	wf := f.m.pool.Checkout(key)
+	f.outstanding = append(f.outstanding, key)
 	f.m.mu.Lock()
 	if wf != nil {
 		f.j.poolHits++
@@ -278,7 +254,22 @@ func (f *jobFabrics) Checkout(key string) *experiment.WarmFabric {
 	return wf
 }
 
-func (f *jobFabrics) Checkin(wf *experiment.WarmFabric) { f.m.pool.Checkin(wf) }
+func (f *jobFabrics) Checkin(wf *experiment.WarmFabric) {
+	if i := slices.Index(f.outstanding, wf.Key); i >= 0 {
+		f.outstanding = slices.Delete(f.outstanding, i, i+1)
+	}
+	f.m.pool.Checkin(wf)
+}
+
+// releaseOutstanding ends the leases of a run that panicked between
+// checkout and checkin; without it the pool's leased gauge never drops and
+// every later miss on those keys is booked as lease_busy.
+func (f *jobFabrics) releaseOutstanding() {
+	for _, k := range f.outstanding {
+		f.m.pool.release(k)
+	}
+	f.outstanding = nil
+}
 
 // runJob is a worker's execution of one dequeued job: it runs the specs
 // in a child goroutine and waits for completion, cancellation, or
@@ -301,7 +292,7 @@ func (m *Manager) runJob(j *job) {
 	go func() {
 		defer close(done)
 		defer func() {
-			// experiment.Runner already converts a panicking experiment
+			// experiment.RunOne already converts a panicking experiment
 			// into RunResult.Err; this recover is the outer hull for the
 			// serve glue itself, so no job can take a worker down.
 			if p := recover(); p != nil {
@@ -338,10 +329,7 @@ func (m *Manager) runJob(j *job) {
 // simulation at a time, recording progress after each. It stops silently
 // if the job was finished under it (cancel or timeout detach).
 func (m *Manager) runSpecs(j *job) {
-	// NoWarm: warm reuse is the manager pool's job here (buildDef bound it
-	// into the Def), and each spec gets its own Run call — a per-call
-	// worker cache could never hit.
-	runner := &experiment.Runner{Workers: 1, NoWarm: true}
+	fx := &jobFabrics{m: m, j: j}
 	results := make([]experiment.RunResult, 0, len(j.specs))
 	for _, spec := range j.specs {
 		m.mu.Lock()
@@ -350,7 +338,10 @@ func (m *Manager) runSpecs(j *job) {
 		if !live {
 			return
 		}
-		rr := runner.Run([]experiment.Spec{spec})[0]
+		rr := experiment.RunOne(spec, fx)
+		if rr.Err != nil {
+			fx.releaseOutstanding()
+		}
 
 		m.mu.Lock()
 		if j.state != StateRunning {
@@ -364,7 +355,7 @@ func (m *Manager) runSpecs(j *job) {
 		m.met.runWallSeconds += rr.Wall.Seconds()
 		m.met.runAllocBytes += rr.AllocBytes
 		if rr.Err != nil {
-			// Runner.runOne only sets Err for a recovered panic.
+			// RunOne only sets Err for a recovered panic.
 			m.met.panicsRecovered++
 			m.finishLocked(j, StateFailed, rr.Err.Error())
 			m.mu.Unlock()

@@ -7,12 +7,11 @@ import (
 )
 
 // enginePool caches warm, fully built *fabrics* keyed by their build
-// configuration (experiment.Figure3Config.FabricKey and friends), so a
-// daemon serving many tenants does not cold-build switches, routers,
-// dense FIBs, and compiled pipelines per request. Unlike the read-only
-// topologies this pool held before the deterministic-reset layer, a
-// fabric is live simulation state: an entry is exclusively LEASED to one
-// run at a time — checkout removes it from the pool, checkin returns it.
+// configuration (experiment.Figure3Config.FabricKey), so a daemon serving
+// many tenants does not cold-build switches, routers, dense FIBs, and
+// compiled pipelines per request. A fabric is live simulation state: an
+// entry is exclusively LEASED to one run at a time — checkout removes it
+// from the pool, checkin returns it.
 // Concurrent same-key jobs simply miss and cold-build, exactly as a cold
 // daemon would (their fabrics are all checked in afterwards; the pool
 // keeps one per key and drops the rest).
@@ -24,20 +23,19 @@ import (
 // pooled fabric are byte-identical to cold builds (the reset contract,
 // pinned by experiment's reset-vs-fresh goldens).
 //
-// The idle set is bounded with LRU eviction: under a one-off scan of cold
+// The idle set is an experiment.FabricCache — the one LRU over warm
+// fabrics — held under this pool's mutex: under a one-off scan of cold
 // shapes, the repeatedly leased hot shapes stay resident because every
-// checkin refreshes recency; the previous FIFO order evicted them first.
+// checkin refreshes recency. The pool adds what a shared daemon needs on
+// top: the lock, lease accounting, and the reset at checkin.
 type enginePool struct {
 	mu      sync.Mutex
-	max     int
-	idle    map[string]*experiment.WarmFabric
-	order   []string       // LRU order over idle keys: least recently used first
-	leased  map[string]int // checkouts (incl. misses now building) not yet checked in
-	leasedN int            // sum over leased, kept inline for the /metrics gauge
+	idle    *experiment.FabricCache // hits, misses and evictions are its counters
+	leased  map[string]int          // checkouts (incl. misses now building) not yet checked in
+	leasedN int                     // sum over leased, kept inline for the /metrics gauge
 
-	hits, misses, evictions uint64
-	resets, resetFailures   uint64
-	leaseBusy               uint64 // misses while the key's fabric was leased out
+	resets, resetFailures uint64
+	leaseBusy             uint64 // misses while the key's fabric was leased out
 }
 
 // poolResetSeed is the seed idle fabrics are parked at. Arbitrary: every
@@ -48,14 +46,10 @@ func newEnginePool(max int) *enginePool {
 	if max < 1 {
 		max = 1
 	}
-	return &enginePool{
-		max:    max,
-		idle:   make(map[string]*experiment.WarmFabric),
-		leased: make(map[string]int),
-	}
+	return &enginePool{idle: experiment.NewFabricCache(max), leased: make(map[string]int)}
 }
 
-// checkout leases the warm fabric under key to the caller, or returns nil
+// Checkout leases the warm fabric under key to the caller, or returns nil
 // when none is idle (cold or currently leased) — the caller builds its
 // own and checks it in afterwards.
 func (p *enginePool) Checkout(key string) *experiment.WarmFabric {
@@ -63,24 +57,18 @@ func (p *enginePool) Checkout(key string) *experiment.WarmFabric {
 	defer p.mu.Unlock()
 	p.leased[key]++
 	p.leasedN++
-	wf := p.idle[key]
-	if wf == nil {
-		p.misses++
-		if p.leased[key] > 1 {
-			p.leaseBusy++
-		}
-		return nil
+	wf := p.idle.Checkout(key)
+	if wf == nil && p.leased[key] > 1 {
+		p.leaseBusy++
 	}
-	p.hits++
-	delete(p.idle, key)
-	p.removeLocked(key)
 	return wf
 }
 
-// checkin returns a fabric — leased or freshly built — to the idle set.
+// Checkin returns a fabric — leased or freshly built — to the idle set.
 // The reset runs before the pool lock is taken: until the entry is
 // published the caller still owns the fabric exclusively. Fabrics that
-// refuse the reset, or lose the one-idle-entry-per-key race, are dropped.
+// refuse the reset, or lose the one-idle-entry-per-key race (a sibling
+// build already parked an interchangeable one), are dropped.
 func (p *enginePool) Checkin(wf *experiment.WarmFabric) {
 	if wf == nil || wf.Fab == nil {
 		return
@@ -89,34 +77,28 @@ func (p *enginePool) Checkin(wf *experiment.WarmFabric) {
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.leased[wf.Key]--; p.leased[wf.Key] <= 0 {
-		delete(p.leased, wf.Key)
-	}
-	p.leasedN--
+	p.releaseLocked(wf.Key)
 	if err != nil {
 		p.resetFailures++
 		return
 	}
 	p.resets++
-	if _, ok := p.idle[wf.Key]; ok {
-		return // a sibling build already parked one; interchangeable, drop this copy
-	}
-	p.idle[wf.Key] = wf
-	p.order = append(p.order, wf.Key)
-	if len(p.order) > p.max {
-		delete(p.idle, p.order[0])
-		p.order = p.order[1:]
-		p.evictions++
-	}
+	p.idle.Checkin(wf)
 }
 
-func (p *enginePool) removeLocked(key string) {
-	for i, k := range p.order {
-		if k == key {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			return
-		}
+// release ends a lease whose fabric will never be checked in: the run
+// that held it panicked between checkout and checkin.
+func (p *enginePool) release(key string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.releaseLocked(key)
+}
+
+func (p *enginePool) releaseLocked(key string) {
+	if p.leased[key]--; p.leased[key] <= 0 {
+		delete(p.leased, key)
 	}
+	p.leasedN--
 }
 
 // poolStats is a consistent snapshot for /metrics.
@@ -131,9 +113,9 @@ func (p *enginePool) stats() poolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return poolStats{
-		hits: p.hits, misses: p.misses, evictions: p.evictions,
+		hits: p.idle.Hits, misses: p.idle.Misses, evictions: p.idle.Evictions,
 		resets: p.resets, resetFailures: p.resetFailures,
 		leaseBusy: p.leaseBusy,
-		size:      len(p.idle), leased: p.leasedN,
+		size:      p.idle.Len(), leased: p.leasedN,
 	}
 }

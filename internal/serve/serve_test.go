@@ -115,7 +115,7 @@ func getResult(t *testing.T, ts *httptest.Server, id string) []byte {
 func sleepDef(id string, d time.Duration) experiment.Def {
 	return experiment.Def{
 		ID: id, Desc: "test sleeper", Seeded: true,
-		Run: func(seed int64) *experiment.Result {
+		Run: func(experiment.RunOpts) *experiment.Result {
 			time.Sleep(d)
 			r := &experiment.Result{Name: id}
 			r.Metric("slept_sec", d.Seconds())
@@ -150,7 +150,7 @@ func TestSubmitPollResult(t *testing.T) {
 }
 
 // TestByteIdenticalThroughPool is the serving determinism gate: the same
-// spec submitted twice — the second run over the warm pooled topology —
+// spec submitted twice — the second run over the warm pooled fabric —
 // must return byte-identical result payloads.
 func TestByteIdenticalThroughPool(t *testing.T) {
 	ts, _ := newTestServer(t, Config{Workers: 2})
@@ -169,8 +169,9 @@ func TestByteIdenticalThroughPool(t *testing.T) {
 }
 
 // TestByteIdenticalConcurrent submits the same spec from many tenants at
-// once; all runs share one warm topology and must agree byte-for-byte.
-// (-race in CI makes this the data-race gate for topology sharing.)
+// once; whoever finds the pooled fabric leased cold-builds its own, and
+// all runs must agree byte-for-byte. (-race in CI makes this the data-race
+// gate for the lease pool.)
 func TestByteIdenticalConcurrent(t *testing.T) {
 	ts, _ := newTestServer(t, Config{Workers: 4})
 	const n = 4
@@ -214,7 +215,7 @@ func TestAPIMatchesFfbench(t *testing.T) {
 	var want string
 	for _, d := range experiment.Registry() {
 		if d.ID == "fig3" {
-			want = d.ShortRun(1).String()
+			want = d.Run(experiment.RunOpts{Seed: 1, Short: true}).String()
 		}
 	}
 	if got := payload.Runs[0].Text; got != want {
@@ -230,7 +231,7 @@ func TestAPIMatchesFfbench(t *testing.T) {
 func TestPanicIsolation(t *testing.T) {
 	defs := append(experiment.Registry(),
 		experiment.Def{ID: "boom", Desc: "always panics", Seeded: true,
-			Run: func(int64) *experiment.Result { panic("injected failure") }},
+			Run: func(experiment.RunOpts) *experiment.Result { panic("injected failure") }},
 		sleepDef("nap", 10*time.Millisecond))
 	ts, m := newTestServer(t, Config{Workers: 2, Defs: defs})
 
@@ -251,6 +252,29 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestPanicReleasesLease pins the pool's lease accounting against a run
+// that dies between checkout and checkin: the lease must end with the
+// job, or the leased gauge stays up forever and every later miss on the
+// key is misbooked as lease_busy.
+func TestPanicReleasesLease(t *testing.T) {
+	leaky := experiment.Def{ID: "leaky", Desc: "checks a fabric out, then panics", Seeded: true,
+		Run: func(o experiment.RunOpts) *experiment.Result {
+			o.Fabrics.Checkout("test/leaky")
+			panic("died holding a lease")
+		}}
+	ts, m := newTestServer(t, Config{Workers: 1, Defs: append(experiment.Registry(), leaky)})
+	for i := 0; i < 2; i++ {
+		id := submit(t, ts, map[string]any{"experiment": "leaky"})
+		waitState(t, ts, id, StateFailed, 10*time.Second)
+		met := m.MetricsText()
+		for _, series := range []string{"ffserved_engine_pool_leased 0", "ffserved_engine_pool_lease_busy_total 0"} {
+			if !strings.Contains(met, series+"\n") {
+				t.Errorf("after panicking job %d: metrics missing %q:\n%s", i+1, series, met)
+			}
+		}
+	}
+}
+
 // TestConcurrentJobs holds 8 jobs open at once behind a barrier, proving
 // the pool genuinely runs that many simulations concurrently.
 func TestConcurrentJobs(t *testing.T) {
@@ -259,7 +283,7 @@ func TestConcurrentJobs(t *testing.T) {
 	release := make(chan struct{})
 	barrier := experiment.Def{
 		ID: "barrier", Desc: "blocks until released", Seeded: true,
-		Run: func(int64) *experiment.Result {
+		Run: func(experiment.RunOpts) *experiment.Result {
 			started <- struct{}{}
 			<-release
 			return &experiment.Result{Name: "barrier"}
@@ -582,9 +606,9 @@ func TestUnseededRegistryJob(t *testing.T) {
 func TestMultiSeedAggregates(t *testing.T) {
 	defs := append(experiment.Registry(),
 		experiment.Def{ID: "coin", Desc: "seed-dependent metric", Seeded: true,
-			Run: func(seed int64) *experiment.Result {
+			Run: func(o experiment.RunOpts) *experiment.Result {
 				r := &experiment.Result{Name: "coin"}
-				r.Metric("seed_value", float64(seed))
+				r.Metric("seed_value", float64(o.Seed))
 				return r
 			}})
 	ts, _ := newTestServer(t, Config{Workers: 2, Defs: defs})

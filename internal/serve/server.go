@@ -145,7 +145,7 @@ func (s *Server) experiments(w http.ResponseWriter, r *http.Request) {
 	defs := s.m.Defs()
 	out := make([]experimentInfo, 0, len(defs))
 	for _, d := range defs {
-		out = append(out, experimentInfo{ID: d.ID, Desc: d.Desc, Seeded: d.Seeded, Short: d.ShortRun != nil})
+		out = append(out, experimentInfo{ID: d.ID, Desc: d.Desc, Seeded: d.Seeded, Short: d.HasShort})
 	}
 	writeJSON(w, http.StatusOK, map[string][]experimentInfo{"experiments": out})
 }

@@ -251,28 +251,34 @@ func (s *ScenarioSpec) config(seed int64) (experiment.Figure3Config, error) {
 	return cfg, nil
 }
 
-// runScenario executes one scenario arm (or the three-arm comparison) at
-// a config, attaching the same headline metrics the registry experiments
-// record so aggregation and shape checks work uniformly.
-func runScenario(cfg experiment.Figure3Config, defense string) *experiment.Result {
-	var arm experiment.Defense
-	switch defense {
-	case "", "compare":
-		return experiment.Figure3Compare(cfg)
-	case "fastflex":
-		arm = experiment.DefenseFastFlex
-	case "baseline-sdn":
-		arm = experiment.DefenseBaseline
-	case "undefended":
-		arm = experiment.DefenseNone
+// def is the experiment definition an admitted scenario runs as: one arm,
+// or the three-arm comparison, of Figure 3 at the translated config. The
+// arms record the same headline metrics the registry experiments do, so
+// aggregation and shape checks work uniformly.
+func (s *ScenarioSpec) def() experiment.Def {
+	return experiment.Def{
+		ID: "scenario", Desc: "inline scenario", Seeded: true,
+		Run: func(o experiment.RunOpts) *experiment.Result {
+			cfg, err := s.config(o.Seed)
+			if err != nil {
+				// normalize already ran the translation; this cannot
+				// trip for an admitted job.
+				panic(fmt.Sprintf("serve: translating admitted scenario: %v", err))
+			}
+			cfg.Fabrics = o.Fabrics
+			switch s.Defense {
+			case "fastflex":
+				cfg.Defense = experiment.DefenseFastFlex
+			case "baseline-sdn":
+				cfg.Defense = experiment.DefenseBaseline
+			case "undefended":
+				cfg.Defense = experiment.DefenseNone
+			default: // "", "compare"
+				return experiment.Figure3Compare(cfg)
+			}
+			return &experiment.Figure3(cfg).Result
+		},
 	}
-	cfg.Defense = arm
-	r := experiment.Figure3(cfg)
-	name := arm.String()
-	r.Metric("attack_mean_"+name, r.AttackMean)
-	r.Metric("degraded_"+name, r.FractionDegraded)
-	r.Metric("stable_mbps_"+name, r.StableMean*8/1e6)
-	return &r.Result
 }
 
 // digest returns the canonical fingerprint of a normalized request:
