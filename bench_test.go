@@ -174,9 +174,10 @@ func BenchmarkEventsimStep(b *testing.B) {
 }
 
 // BenchmarkLinkEnqueue measures one full packet lifetime on the netsim hot
-// path: pooled allocation, host send, link FIFO, transmission, pipeline
-// traversal at two switches, delivery, recycling. Zero steady-state
-// allocations are asserted by netsim's TestForwardSteadyStateZeroAlloc.
+// path: pooled allocation, host send, closed-form link admission (one
+// delivery event per hop), pipeline traversal at the switches with the
+// egress enqueue inline, delivery, recycling. Zero steady-state allocations
+// are asserted by netsim's TestForwardSteadyStateZeroAlloc.
 func BenchmarkLinkEnqueue(b *testing.B) {
 	g := topo.NewFigure2()
 	users := g.AttachUsers(1)

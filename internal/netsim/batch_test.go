@@ -217,11 +217,10 @@ func TestAdaptiveLookaheadWidensWindows(t *testing.T) {
 		sWin, aWin, float64(sWin)/float64(aWin))
 }
 
-// TestQueueSaturatingBurstZeroAlloc pins the pre-sized queue rings: a
-// burst that saturates a link's byte cap (tail drops included) must not
-// allocate in steady state. The queue ring's capacity floor
-// (QueueBytes/MinWireLen) means its first growth jumps straight to the
-// worst case the byte cap admits, so later bursts never call grow again.
+// TestQueueSaturatingBurstZeroAlloc pins the on-demand rings: a burst that
+// saturates a link's byte cap (tail drops included) must not allocate in
+// steady state. The first burst doubles the waiting and inflight rings up
+// to what the byte cap admits; the same burst again fits what is there.
 func TestQueueSaturatingBurstZeroAlloc(t *testing.T) {
 	n, h0, h1 := twoHostLine(t)
 	src, dst := packet.HostAddr(int(h0)), packet.HostAddr(int(h1))

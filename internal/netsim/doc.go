@@ -22,10 +22,12 @@
 // O(packets), which is what makes 10^6-host backgrounds simulable; see
 // DESIGN.md "Fluid/packet hybrid substrate".
 //
-// The forwarding hot path (enqueue → transmit → deliver → pipeline) is
+// The forwarding hot path is enqueue → deliver → pipeline, one event per
+// packet-hop: a FIFO link's departure time is known at admission, so
+// enqueue computes it in closed form and schedules only the far-end
+// delivery; the pipeline enqueues on the egress link inline. It is
 // allocation-free in steady state: packets come from a per-Network pool
-// and are recycled at end-of-life, per-link FIFO rings and preallocated
-// event callbacks avoid per-packet closures, and pipeline contexts and
-// switch-latency hop events are pooled. TestForwardSteadyStateZeroAlloc
-// pins this.
+// and are recycled at end-of-life, per-link rings and one preallocated
+// delivery callback avoid per-packet closures, and pipeline contexts are
+// pooled. TestForwardSteadyStateZeroAlloc pins this.
 package netsim

@@ -64,18 +64,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// hopEvent is a pooled pending switch-latency hop: the packet has cleared
-// a switch pipeline and is waiting to enter its egress queue. fire is
-// allocated once per pool entry, so the per-packet hop schedules no closure.
-// Hop events live and die inside one shard (the switch's).
-type hopEvent struct {
-	n    *Network
-	sh   *shardState
-	out  topo.LinkID
-	pkt  *packet.Packet
-	fire func()
-}
-
 // Network is a running simulation instance.
 type Network struct {
 	// Eng is the coordinator engine: control-timescale work (tickers,
@@ -104,11 +92,10 @@ type Network struct {
 	group    *eventsim.ShardGroup
 	part     *topo.Shards
 
-	// Windowed-mode determinism state: per-switch RNG streams and merge-
-	// rank counters, so pipeline randomness and equal-time event order
-	// are pure functions of per-entity history (partition-invariant).
-	swRNG  []*rand.Rand
-	swRank []eventsim.RankOwner
+	// Windowed-mode determinism state: per-switch RNG streams, so pipeline
+	// randomness is a pure function of per-entity history
+	// (partition-invariant).
+	swRNG []*rand.Rand
 	// nextOwnerKey mints merge-rank keys for traffic sources; node and
 	// link keys are fixed, so source keys start above both ranges.
 	nextOwnerKey uint64
@@ -133,16 +120,20 @@ type Network struct {
 // with the TofinoLike budget and a base Router installed; every host node
 // gets a Host runtime.
 func New(g *topo.Graph, cfg Config) *Network {
+	// Zero-valued tunables take their defaults one by one; the seed, the
+	// engine selection and every other field are the caller's.
+	def := DefaultConfig()
 	if cfg.QueueBytes == 0 {
-		shards := cfg.Shards
-		disableBatch := cfg.DisableBatch
-		staticLookahead := cfg.StaticLookahead
-		fluid := cfg.Fluid
-		cfg = DefaultConfig()
-		cfg.Shards = shards
-		cfg.DisableBatch = disableBatch
-		cfg.StaticLookahead = staticLookahead
-		cfg.Fluid = fluid
+		cfg.QueueBytes = def.QueueBytes
+	}
+	if cfg.SwitchLatency == 0 {
+		cfg.SwitchLatency = def.SwitchLatency
+	}
+	if cfg.UtilWindow == 0 {
+		cfg.UtilWindow = def.UtilWindow
+	}
+	if cfg.UtilAlpha == 0 {
+		cfg.UtilAlpha = def.UtilAlpha
 	}
 	n := &Network{
 		Eng:      eventsim.New(cfg.Seed),
@@ -227,11 +218,9 @@ func (n *Network) setupShards(cfg Config) {
 		}
 	}
 	n.swRNG = make([]*rand.Rand, len(g.Nodes))
-	n.swRank = make([]eventsim.RankOwner, len(g.Nodes))
 	for _, node := range g.Nodes {
 		if node.Kind == topo.Switch {
 			n.swRNG[node.ID] = eventsim.NewStream(cfg.Seed, uint64(node.ID))
-			n.swRank[node.ID] = eventsim.NewRankOwner(uint64(node.ID))
 		}
 	}
 	var lookahead time.Duration
@@ -262,10 +251,10 @@ func (n *Network) setupShards(cfg Config) {
 //
 // Per cut link, the earliest a NEW hand-off can reach the far end:
 //
-//   - busy or backlogged: the transmitter may start another packet at any
-//     event time t >= base, so arrivals land at t+tx+prop > base+prop
-//     (tx >= 1ns). Bound: base + prop.
-//   - quiescent (idle transmitter, empty queue): only an event executing
+//   - busy or backlogged (busyUntil > base): a packet admitted at any event
+//     time t >= base leaves the serializer at or after t+tx, so arrivals
+//     land beyond base+prop (tx >= 1ns). Bound: base + prop.
+//   - quiescent (serializer idle by base): only an event executing
 //     in the source shard can enqueue traffic, and that shard's earliest
 //     pending event is at srcNext >= base, so arrivals land strictly after
 //     srcNext + prop. Bound: srcNext + prop. An empty source engine
@@ -286,7 +275,7 @@ func (n *Network) adaptiveBound(base, horizon time.Duration) time.Duration {
 		ls := n.links[lid]
 		prop := time.Duration(ls.link.DelayNS)
 		var bound time.Duration
-		if ls.busy || ls.queue.len() > 0 {
+		if ls.busyUntil > base {
 			bound = base + prop
 		} else {
 			srcNext, ok := ls.sh.eng.PeekAt()
@@ -420,6 +409,17 @@ func (n *Network) DropsLoss() uint64 {
 	return t
 }
 
+// LinkLedger returns the link layer's two ends: packets offered to any
+// link and packets that reached a link's far end. At every barrier
+// offered == DropsLoss + DropsQueue + arrived + packets still on a link.
+func (n *Network) LinkLedger() (offered, arrived uint64) {
+	for _, sh := range n.shards {
+		offered += sh.offered
+		arrived += sh.arrived
+	}
+	return offered, arrived
+}
+
 // EventsFired returns the total simulation events executed across the
 // coordinator and every shard engine. Fused deliveries count one event
 // apiece (PopAdjacent increments the popping engine's counter), so the
@@ -460,11 +460,16 @@ func (n *Network) LinkLoadInstant(l topo.LinkID) float64 { return n.links[l].las
 // LinkStats returns cumulative counters for a link.
 func (n *Network) LinkStats(l topo.LinkID) (sentPkts, sentBytes, drops uint64) {
 	ls := n.links[l]
+	ls.drain(ls.sh.eng.Now())
 	return ls.sentPkts, ls.sentBytes, ls.drops
 }
 
 // QueueDepth returns the bytes currently queued on a link.
-func (n *Network) QueueDepth(l topo.LinkID) int { return n.links[l].queuedBytes }
+func (n *Network) QueueDepth(l topo.LinkID) int {
+	ls := n.links[l]
+	ls.drain(ls.sh.eng.Now())
+	return ls.queuedBytes
+}
 
 // SetLinkLoss injects random loss on a directed link (fault injection for
 // FEC and fault-tolerance experiments). p is the per-packet drop
@@ -555,6 +560,7 @@ func (n *Network) deliverRun(ls *linkState) {
 //ffvet:hotpath
 func (n *Network) drainBatch(sh *shardState) {
 	pkts, ins := sh.batch.Pkts, sh.batch.In
+	sh.arrived += uint64(len(pkts))
 	for i := 0; i < len(pkts); {
 		in := ins[i]
 		to := n.G.Links[in].To
@@ -607,6 +613,7 @@ func (n *Network) processSwitchRun(sh *shardState, id topo.NodeID, lo, hi int) {
 func (n *Network) arrive(l topo.LinkID, pkt *packet.Packet) {
 	to := n.G.Links[l].To
 	sh := n.shards[n.shardOf[to]]
+	sh.arrived++
 	if n.Tracer != nil {
 		n.Tracer(sh.eng.Now(), to, pkt)
 	}
@@ -683,34 +690,9 @@ func (n *Network) processAtSwitch(id topo.NodeID, pkt *packet.Packet, in topo.Li
 		panic(fmt.Sprintf("netsim: switch %d chose egress link %d owned by node %d",
 			id, out, n.G.Links[out].From))
 	}
-	// Fixed pipeline latency, then the egress queue.
-	n.scheduleHop(sh, id, out, pkt)
-}
-
-// scheduleHop delays a pipeline-cleared packet by the switch latency
-// before it joins the egress queue, reusing pooled hop events so the per
-// packet cost is one (pooled) eventsim entry and no closure.
-func (n *Network) scheduleHop(sh *shardState, id topo.NodeID, out topo.LinkID, pkt *packet.Packet) {
-	var h *hopEvent
-	if ln := len(sh.hopFree); ln > 0 {
-		h = sh.hopFree[ln-1]
-		sh.hopFree[ln-1] = nil
-		sh.hopFree = sh.hopFree[:ln-1]
-	} else {
-		h = &hopEvent{n: n, sh: sh}
-		h.fire = func() {
-			pkt, out := h.pkt, h.out
-			h.pkt = nil
-			h.sh.hopFree = append(h.sh.hopFree, h)
-			h.n.Enqueue(out, pkt)
-		}
-	}
-	h.out, h.pkt = out, pkt
-	if n.windowed {
-		sh.eng.AfterRank(n.Cfg.SwitchLatency, n.swRank[id].Next(), h.fire)
-	} else {
-		n.Eng.After(n.Cfg.SwitchLatency, h.fire)
-	}
+	// Straight into the egress FIFO; the fixed pipeline latency is paid
+	// behind the serializer (linkState.extra).
+	n.links[out].enqueue(pkt)
 }
 
 func (n *Network) dispatchEmission(at topo.NodeID, em dataplane.Emission, in topo.LinkID, depth int) {

@@ -22,7 +22,7 @@ import (
 // that own dataplane programs reset them separately (core.Fabric.Reset).
 //
 // Packets queued or in flight at reset are recycled into their shard's
-// pool; pending events (including cross-shard arrival and hop events) are
+// pool; pending events (including cross-shard arrival events) are
 // dropped to the garbage collector, never recycled, because their owners
 // may still hold handles.
 func (n *Network) Reset(seed int64) {
@@ -40,7 +40,6 @@ func (n *Network) Reset(seed int64) {
 		for _, node := range n.G.Nodes {
 			if node.Kind == topo.Switch {
 				n.swRNG[node.ID].Seed(eventsim.StreamSeed(seed, uint64(node.ID)))
-				n.swRank[node.ID] = eventsim.NewRankOwner(uint64(node.ID))
 			}
 		}
 	}
@@ -67,7 +66,7 @@ func (n *Network) Reset(seed int64) {
 
 // reset rewinds one shard's runtime: counters, batch scratch, and hand-off
 // rings. The packet pool keeps its free list (warm reuse is the point) but
-// restarts its statistics; context/hop/arrival free lists survive as-is
+// restarts its statistics; context/arrival free lists survive as-is
 // since pooled entries are already quiescent.
 func (sh *shardState) reset() {
 	sh.pool.Gets, sh.pool.News = 0, 0
@@ -85,6 +84,7 @@ func (sh *shardState) reset() {
 	sh.dropsDown = 0
 	sh.dropsLoss = 0
 	sh.delivered = 0
+	sh.offered, sh.arrived = 0, 0
 }
 
 // reset clears a hand-off ring, dropping any packets still inside to the
@@ -111,15 +111,13 @@ func (r *handoffRing) reset() {
 // SetLinkLoss would create). Fluid state detaches entirely — packet-only
 // runs on a warm network stay byte-identical to fresh builds.
 func (ls *linkState) reset(seed int64) {
-	for ls.queue.len() > 0 {
-		ls.sh.pool.Put(ls.queue.pop())
-	}
 	for ls.inflight.len() > 0 {
 		ls.sh.pool.Put(ls.inflight.pop())
 	}
 	ls.lossRate = 0
 	ls.queuedBytes = 0
-	ls.busy = false
+	ls.busyUntil = 0
+	ls.waiting.head, ls.waiting.n = 0, 0
 	ls.lastSize, ls.lastTx = 0, 0
 	ls.sentPkts, ls.sentBytes = 0, 0
 	ls.rank = eventsim.NewRankOwner(uint64(len(ls.net.G.Nodes)) + uint64(ls.link.ID))

@@ -23,7 +23,6 @@ type shardState struct {
 
 	pool    packet.Pool
 	ctxFree []*dataplane.Context
-	hopFree []*hopEvent
 	arrFree []*arrivalEvent
 
 	// Batched-delivery scratch state. batch collects a fused run of
@@ -47,6 +46,10 @@ type shardState struct {
 	dropsDown     uint64
 	dropsLoss     uint64
 	delivered     uint64
+	// offered counts every packet handed to a link of this shard, arrived
+	// every packet that reached the far end of a link into this shard.
+	offered uint64
+	arrived uint64
 }
 
 // after schedules fn on the shard's engine: ranked in windowed mode (merge
@@ -61,7 +64,7 @@ func (sh *shardState) after(d time.Duration, o *eventsim.RankOwner, fn func()) *
 
 // makeBatchDone builds the shard's per-packet batch epilogue: the exact
 // tail of processAtSwitch (emission dispatch, verdict accounting, the
-// switch-latency hop), applied to batch entry k. ProcessBatch calls it
+// egress enqueue), applied to batch entry k. ProcessBatch calls it
 // after each packet's pipeline pass and before the next packet's, so side
 // effects land in serial order.
 func (sh *shardState) makeBatchDone() func(int, dataplane.Verdict) {
@@ -102,7 +105,7 @@ func (sh *shardState) makeBatchDone() func(int, dataplane.Verdict) {
 			panic(fmt.Sprintf("netsim: switch %d chose egress link %d owned by node %d",
 				id, out, n.G.Links[out].From))
 		}
-		n.scheduleHop(sh, id, out, pkt)
+		n.links[out].enqueue(pkt)
 	}
 }
 

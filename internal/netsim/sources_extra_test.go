@@ -70,6 +70,53 @@ func TestLinkLossInjection(t *testing.T) {
 	}
 }
 
+// TestNewKeepsCallerConfig pins the zero-config path of New: only the four
+// zero-valued tunables take defaults; the seed (and so every loss draw) and
+// the engine selection are the caller's.
+func TestNewKeepsCallerConfig(t *testing.T) {
+	lossPattern := func(cfg Config) (*Network, string) {
+		g := topo.NewGraph()
+		s0 := g.AddNode(topo.Switch, "s0")
+		h0 := g.AttachHost(s0, "h0", topo.DefaultHostBPS, topo.DefaultHostDelay)
+		n := New(g, cfg)
+		up := g.LinkBetween(h0, s0)
+		n.SetLinkLoss(up, 0.5)
+		pat := make([]byte, 64)
+		for i := range pat {
+			before := n.DropsLoss()
+			n.SendFromHost(h0, &packet.Packet{Proto: packet.ProtoUDP, TTL: 64})
+			pat[i] = '0' + byte(n.DropsLoss()-before)
+		}
+		return n, string(pat)
+	}
+	def := DefaultConfig()
+	for _, tc := range []struct {
+		name string
+		a, b Config
+	}{
+		{"serial", Config{Seed: 7}, Config{Seed: 8}},
+		{"sharded", Config{Seed: 7, Shards: 2}, Config{Seed: 8, Shards: 2}},
+		{"partial", Config{Seed: 7, QueueBytes: 1 << 20}, Config{Seed: 8, UtilAlpha: 0.5}},
+	} {
+		na, pa := lossPattern(tc.a)
+		_, pb := lossPattern(tc.b)
+		if _, again := lossPattern(tc.a); again != pa {
+			t.Errorf("%s: same seed drew %s then %s", tc.name, pa, again)
+		}
+		if pa == pb {
+			t.Errorf("%s: seeds %d and %d drew the same loss sequence %s", tc.name, tc.a.Seed, tc.b.Seed, pa)
+		}
+		want := tc.a
+		if want.QueueBytes == 0 {
+			want.QueueBytes = def.QueueBytes
+		}
+		want.SwitchLatency, want.UtilWindow, want.UtilAlpha = def.SwitchLatency, def.UtilWindow, def.UtilAlpha
+		if na.Cfg != want {
+			t.Errorf("%s: New kept %+v, want %+v", tc.name, na.Cfg, want)
+		}
+	}
+}
+
 func TestLinkStatsAndQueueDepth(t *testing.T) {
 	n, h0, h1 := twoHostLine(t)
 	core := n.G.LinkBetween(0, 1)
