@@ -113,7 +113,7 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	traceOut := flag.String("trace", "", "write a runtime execution trace to this file")
-	shards := flag.Int("shards", 0, "engine shard count for fig3x, fig3f and a6 (0 = serial engine)")
+	shards := flag.Int("shards", 0, "sharded-engine worker count for fig3x, fig3f and a6 (0 = serial engine)")
 	flag.Parse()
 
 	stopProfiles, err := startProfiles(*cpuprofile, *traceOut)

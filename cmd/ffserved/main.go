@@ -41,7 +41,7 @@ func main() {
 	workers := flag.Int("workers", 8, "concurrent job slots")
 	queue := flag.Int("queue", 64, "queued-job bound (beyond it, 429)")
 	timeout := flag.Duration("timeout", 10*time.Minute, "per-job wall-clock ceiling")
-	shards := flag.Int("shards", 0, "engine shard count for registry fig3x, fig3f and a6 (0 = serial)")
+	shards := flag.Int("shards", 0, "sharded-engine worker count for registry fig3x, fig3f and a6 (0 = serial)")
 	pool := flag.Int("pool", 32, "idle warm-fabric pool entries")
 	maxJobs := flag.Int("max-jobs", 1024, "retained finished-job records")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "shutdown grace for in-flight jobs")

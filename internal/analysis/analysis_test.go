@@ -224,26 +224,32 @@ func TestDeterminismReachabilityChain(t *testing.T) {
 // TestDeterminismExemptionDeletion is the acceptance gate for the
 // exemption mechanism: removing one shard-runtime exemption from the
 // configuration must make the proof fail on the real tree, with a chain
-// from an entrypoint ending at the function that launches the workers.
+// from an entrypoint ending at the function that holds the sink — the
+// helper launch in start, the atomic claim cursor in claim.
 func TestDeterminismExemptionDeletion(t *testing.T) {
 	m := loadModule(t)
 	p := NewPass(m.Fset, m.Packages())
-	cfg := defaultDetConfig()
-	const victim = "internal/eventsim.(*ShardGroup).start"
-	if !cfg.exempt[victim] {
-		t.Fatalf("%s missing from the default exemption set", victim)
-	}
-	delete(cfg.exempt, victim)
-	diags := determinism(p, cfg)
-	for _, d := range diags {
-		if !strings.Contains(d.Message, "goroutine launch") {
-			continue
+	for _, tc := range []struct{ victim, sink string }{
+		{"internal/eventsim.(*ShardGroup).start", "goroutine launch"},
+		{"internal/eventsim.(*ShardGroup).claim", "sync/atomic"},
+	} {
+		cfg := defaultDetConfig()
+		if !cfg.exempt[tc.victim] {
+			t.Fatalf("%s missing from the default exemption set", tc.victim)
 		}
-		if n := len(d.Chain); n > 0 && strings.HasSuffix(d.Chain[n-1], victim) {
-			return // proof failed exactly as required
+		delete(cfg.exempt, tc.victim)
+		diags := determinism(p, cfg)
+		failed := false
+		for _, d := range diags {
+			n := len(d.Chain)
+			if strings.Contains(d.Message, tc.sink) && n > 0 && strings.HasSuffix(d.Chain[n-1], tc.victim) {
+				failed = true // proof failed exactly as required
+			}
+		}
+		if !failed {
+			t.Errorf("deleting the %s exemption produced no %q finding with a chain ending there; got %v", tc.victim, tc.sink, diags)
 		}
 	}
-	t.Fatalf("deleting the %s exemption produced no goroutine finding with a chain ending there; got %v", victim, diags)
 }
 
 func TestDeterminismBareWaiver(t *testing.T) {

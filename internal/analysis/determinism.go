@@ -137,12 +137,13 @@ func defaultDetConfig() detConfig {
 			"internal/netsim.(*Network).Reset",
 		},
 		exempt: map[string]bool{
-			// The windowed shard runtime: worker lifecycle and the
-			// window barrier.
+			// The windowed shard runtime: helper lifecycle, the window
+			// barrier, and the atomic cursor workers claim shards by.
 			"internal/eventsim.(*ShardGroup).Run":       true,
 			"internal/eventsim.(*ShardGroup).start":     true,
 			"internal/eventsim.(*ShardGroup).stop":      true,
 			"internal/eventsim.(*ShardGroup).runWindow": true,
+			"internal/eventsim.(*ShardGroup).claim":     true,
 			// The SPSC handoff rings and the inter-window exchange that
 			// drains them at the barrier.
 			"internal/netsim.(*handoffRing).push":  true,

@@ -215,11 +215,12 @@ func defaultPaths(g *topo.Graph) []topo.Path {
 	var paths []topo.Path
 	hosts := g.Hosts()
 	for _, a := range hosts {
+		tree := g.ShortestPathTree(a, nil)
 		for _, b := range hosts {
 			if a == b {
 				continue
 			}
-			if p, ok := g.ShortestPath(a, b, nil); ok {
+			if p, ok := tree.PathTo(b); ok {
 				paths = append(paths, p)
 			}
 		}

@@ -2,6 +2,7 @@ package eventsim
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -41,18 +42,27 @@ func (o *RankOwner) Next() uint64 {
 // cross-shard hand-off emitted at t >= base arrives at t + tx + prop with
 // tx >= 1ns and prop >= Lookahead, hence strictly after Tend — so every
 // shard can execute its local events through Tend without ever receiving a
-// surprise from a peer. Shards run the window in parallel on their own
-// goroutines; at the barrier the main goroutine drains the hand-off rings
-// (Exchange), runs the coordinator through Tend, and opens the next window.
-// Because base is a minimum over all engines, the earliest event always
-// fires, so the loop makes progress even across idle gaps wider than the
-// lookahead.
+// surprise from a peer. Workers are not shards: Workers goroutines (the
+// caller among them) claim the shards of a window one at a time, the one
+// that fired most events in the previous window first, so a topology cut
+// finer than the worker count balances itself. At the barrier the caller
+// drains the hand-off rings (Exchange), runs the coordinator through Tend,
+// and opens the next window. Because base is a minimum over all engines,
+// the earliest event always fires, so the loop makes progress even across
+// idle gaps wider than the lookahead.
 type ShardGroup struct {
 	// Coord runs control-timescale events; it executes at barriers while
 	// the shards are parked, so its callbacks may touch shard state freely.
 	Coord *Engine
-	// Shards are the per-partition engines; each runs on one goroutine.
+	// Shards are the per-partition engines. Within a window each is run by
+	// exactly one worker; which one is scheduling noise no result may
+	// depend on, so anything a shard touches must belong to the shard.
 	Shards []*Engine
+	// Workers is how many goroutines run a window, the caller included;
+	// values outside [1, len(Shards)] are clamped. With one worker Run
+	// starts no goroutine and touches no channel: the caller runs every
+	// shard inline.
+	Workers int
 	// Lookahead is the conservative window width. Zero means unbounded
 	// windows (valid only when no cross-shard traffic can exist).
 	Lookahead time.Duration
@@ -71,7 +81,16 @@ type ShardGroup struct {
 	// Windows counts barrier rounds, for perf telemetry.
 	Windows uint64
 
-	workers []chan time.Duration
+	// order is the claim order of the next window (shard indices, heaviest
+	// previous window first); fired and load are each shard's event count
+	// at the last barrier and over the last window. next is the claim
+	// cursor into order.
+	order []int
+	fired []uint64
+	load  []uint64
+	next  atomic.Int64
+
+	helpers []chan time.Duration
 	window  sync.WaitGroup
 	joined  sync.WaitGroup
 }
@@ -138,45 +157,95 @@ func (g *ShardGroup) peekBase() (time.Duration, bool) {
 	return base, any
 }
 
-// runWindow executes one parallel window: every shard runs through tend,
-// and the call returns only after all of them reach the barrier.
+// runWindow executes one window: every shard runs through tend exactly
+// once, on whichever worker claims it, and the call returns only after all
+// of them reach the barrier.
 func (g *ShardGroup) runWindow(tend time.Duration) {
-	g.window.Add(len(g.workers))
-	for _, ch := range g.workers {
+	g.reorder()
+	g.next.Store(0)
+	if len(g.helpers) == 0 {
+		g.claim(tend)
+		return
+	}
+	g.window.Add(len(g.helpers))
+	for _, ch := range g.helpers {
 		ch <- tend
 	}
+	g.claim(tend)
 	g.window.Wait()
 }
 
-// start launches one worker goroutine per shard. Workers own their engine
-// exclusively between a window send and the barrier; the main goroutine
-// owns all engines between the barrier and the next send (the WaitGroup
-// and channel operations order the hand-offs).
-func (g *ShardGroup) start() {
-	if g.workers != nil {
-		return
+// claim runs unclaimed shards through tend until none is left. The atomic
+// cursor hands each shard of the window to exactly one worker; together
+// with the barrier it orders a shard's successive windows, whichever
+// workers run them.
+func (g *ShardGroup) claim(tend time.Duration) {
+	for {
+		i := int(g.next.Add(1)) - 1
+		if i >= len(g.order) {
+			return
+		}
+		g.Shards[g.order[i]].Run(tend)
 	}
-	g.workers = make([]chan time.Duration, len(g.Shards))
-	for i := range g.Shards {
+}
+
+// reorder sorts the claim order by events fired in the window just closed,
+// heaviest first, so the longest jobs start earliest (the greedy makespan
+// rule). Loads change slowly, so the insertion sort is a single pass
+// nearly always. The load is a deterministic quantity, though nothing
+// observable depends on the order.
+func (g *ShardGroup) reorder() {
+	for i, e := range g.Shards {
+		f := e.Fired()
+		g.load[i], g.fired[i] = f-g.fired[i], f
+	}
+	for i := 1; i < len(g.order); i++ {
+		for j := i; j > 0 && g.load[g.order[j]] > g.load[g.order[j-1]]; j-- {
+			g.order[j], g.order[j-1] = g.order[j-1], g.order[j]
+		}
+	}
+}
+
+// start sizes the claim state and launches the helper goroutines: one per
+// worker beyond the caller, none when a single worker runs the group. A
+// worker owns an engine exclusively between claiming it and the barrier;
+// the caller owns all engines between the barrier and the next window (the
+// channel, the claim cursor and the WaitGroup order the hand-offs).
+func (g *ShardGroup) start() {
+	if len(g.order) != len(g.Shards) {
+		g.order = make([]int, len(g.Shards))
+		g.fired = make([]uint64, len(g.Shards))
+		g.load = make([]uint64, len(g.Shards))
+		for i := range g.order {
+			g.order[i] = i
+		}
+	}
+	for i, e := range g.Shards {
+		g.fired[i] = e.Fired()
+	}
+	workers := min(g.Workers, len(g.Shards))
+	for len(g.helpers) < workers-1 {
 		ch := make(chan time.Duration, 1)
-		g.workers[i] = ch
-		eng := g.Shards[i]
+		g.helpers = append(g.helpers, ch)
 		g.joined.Add(1)
 		go func() {
 			defer g.joined.Done()
 			for tend := range ch {
-				eng.Run(tend)
+				g.claim(tend)
 				g.window.Done()
 			}
 		}()
 	}
 }
 
-// stop joins the worker goroutines; a later Run restarts them.
+// stop joins the helper goroutines; a later Run restarts them.
 func (g *ShardGroup) stop() {
-	for _, ch := range g.workers {
+	if len(g.helpers) == 0 {
+		return
+	}
+	for _, ch := range g.helpers {
 		close(ch)
 	}
 	g.joined.Wait()
-	g.workers = nil
+	g.helpers = nil
 }

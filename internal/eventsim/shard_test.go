@@ -1,6 +1,7 @@
 package eventsim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -172,5 +173,75 @@ func TestShardGroupIdleGap(t *testing.T) {
 	// Both events plus the drain: far fewer windows than gap/lookahead.
 	if g.Windows > 10 {
 		t.Fatalf("windows = %d; idle gap should not be stepped through", g.Windows)
+	}
+}
+
+// unevenGroup builds a group of shards whose loads differ by an order of
+// magnitude: shard i fires a self-rescheduling event every (i+1)·100 µs.
+// fired[i] is written by whichever worker runs shard i, unsynchronised on
+// purpose — a shard claimed twice in a window would race here.
+func unevenGroup(shards, workers int) (g *ShardGroup, fired []int, period func(i int) time.Duration) {
+	period = func(i int) time.Duration { return time.Duration(i+1) * 100 * time.Microsecond }
+	g = &ShardGroup{Coord: New(1), Workers: workers, Lookahead: time.Millisecond}
+	fired = make([]int, shards)
+	for i := 0; i < shards; i++ {
+		e := New(int64(i) + 2)
+		e.RequireRank()
+		o := NewRankOwner(uint64(i) + 1)
+		var tick func()
+		tick = func() {
+			fired[i]++
+			e.AfterRank(period(i), o.Next(), tick)
+		}
+		e.ScheduleRank(period(i), o.Next(), tick)
+		g.Shards = append(g.Shards, e)
+	}
+	return g, fired, period
+}
+
+// TestShardGroupFewerWorkersThanShards pins the claim protocol: with any
+// worker count, at every barrier every shard has been run through the same
+// window end exactly once (its clock and its event count say so), and all
+// clocks agree at the horizon.
+func TestShardGroupFewerWorkersThanShards(t *testing.T) {
+	const shards, horizon = 5, 50 * time.Millisecond
+	for _, workers := range []int{0, 1, 2, 3, shards, shards + 3} {
+		g, fired, period := unevenGroup(shards, workers)
+		barriers := 0
+		g.Exchange = func() {
+			barriers++
+			now := g.Shards[0].Now()
+			for i, e := range g.Shards {
+				if e.Now() != now {
+					t.Fatalf("workers=%d: shard %d at %v, shard 0 at %v after the same window", workers, i, e.Now(), now)
+				}
+				if want := int(now / period(i)); fired[i] != want {
+					t.Fatalf("workers=%d: shard %d fired %d events by %v, want %d", workers, i, fired[i], now, want)
+				}
+			}
+		}
+		g.Run(horizon)
+		if barriers == 0 || g.Windows == 0 {
+			t.Fatalf("workers=%d: no barrier ran", workers)
+		}
+		for i, e := range append([]*Engine{g.Coord}, g.Shards...) {
+			if e.Now() != horizon {
+				t.Fatalf("workers=%d: engine %d clock = %v, want the horizon", workers, i, e.Now())
+			}
+		}
+	}
+}
+
+// TestShardGroupOneWorkerRunsInline pins that a single worker is the
+// caller: no goroutine exists during or after Run that did not before.
+func TestShardGroupOneWorkerRunsInline(t *testing.T) {
+	g, _, _ := unevenGroup(3, 1)
+	before := runtime.NumGoroutine()
+	during := 0
+	g.Coord.Schedule(5*time.Millisecond, func() { during = runtime.NumGoroutine() })
+	g.Run(10 * time.Millisecond)
+	if during != before || runtime.NumGoroutine() != before {
+		t.Fatalf("goroutines: %d before Run, %d during, %d after; one worker must start none",
+			before, during, runtime.NumGoroutine())
 	}
 }

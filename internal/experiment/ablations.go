@@ -48,9 +48,15 @@ func AblationModeLatency() *Result {
 			ctx := &dataplane.Context{Now: n.Now(), Switch: 0, InLink: -1,
 				Pkt: &packet.Packet{Proto: packet.ProtoTCP}, OutLink: -1}
 			ctrls[0].RequestActivate(ctx, 3, 1)
+			links := n.SwitchLinks(0)
 			for _, em := range ctx.Emissions() {
-				for _, lid := range n.SwitchLinks(0) {
-					n.Enqueue(lid, em.Pkt.Clone())
+				// As netsim floods: the last link takes the packet itself.
+				for i, lid := range links {
+					pkt := em.Pkt
+					if i < len(links)-1 {
+						pkt = pkt.Clone()
+					}
+					n.Enqueue(lid, pkt)
 				}
 			}
 		})

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"fastflex/internal/dataplane"
 	"fastflex/internal/packet"
+	"fastflex/internal/topo"
 )
 
 // TestForwardSteadyStateZeroAlloc pins the end-to-end pooling chain: a UDP
@@ -94,5 +96,52 @@ func TestIdleBacklogAlternationZeroAlloc(t *testing.T) {
 	}
 	if d := n.QueueDepth(core); d != 0 {
 		t.Fatalf("queue depth %d after the link drained", d)
+	}
+}
+
+// TestProbeFloodClonesPerTarget bounds the garbage of a probe flood: the
+// last target takes the emitted packet itself, so flooding to N neighbours
+// clones N-1 times (a clone is two objects, the Packet and its ProbeInfo) —
+// not N with the emitted copy thrown away. A ring switch re-flooding away
+// from its ingress has one target and clones nothing.
+func TestProbeFloodClonesPerTarget(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		g       *topo.Graph
+		at      topo.NodeID
+		in      func(g *topo.Graph) topo.LinkID
+		targets int
+	}{
+		{"ring transit", topo.NewRing(6), 0, func(g *topo.Graph) topo.LinkID { return g.LinkBetween(5, 0) }, 1},
+		{"ring origin", topo.NewRing(6), 0, func(*topo.Graph) topo.LinkID { return -1 }, 2},
+		{"fig2 core origin", topo.NewFigure2().G, topo.NewFigure2().CoreA, func(*topo.Graph) topo.LinkID { return -1 }, -1},
+	} {
+		n := New(tc.g, DefaultConfig())
+		in := tc.in(tc.g)
+		targets := tc.targets
+		if targets < 0 {
+			targets = len(n.SwitchLinks(tc.at))
+		}
+		probe := &packet.Packet{Proto: packet.ProtoProbe, TTL: 64, Probe: &packet.ProbeInfo{Kind: packet.ProbeUtil}}
+		flood := func() {
+			probe.TTL = 64 // the last target forwards this very packet
+			n.dispatchEmission(tc.at, dataplane.Emission{Pkt: probe, Via: -1}, in, 0)
+			// Let every copy reach its neighbour and be consumed there (no
+			// booster is installed), so queues and rings stay empty.
+			n.Run(n.Now() + 10*time.Millisecond)
+		}
+		for i := 0; i < 32; i++ {
+			flood()
+		}
+		offered, _ := n.LinkLedger()
+		flood()
+		after, _ := n.LinkLedger()
+		if got := int(after - offered); got != targets {
+			t.Fatalf("%s: flood reached %d links, want %d", tc.name, got, targets)
+		}
+		if allocs, limit := testing.AllocsPerRun(200, flood), float64(2*(targets-1)); allocs > limit {
+			t.Errorf("%s: a flood to %d targets allocates %.1f objects, want <= %.0f (one clone per target but the last)",
+				tc.name, targets, allocs, limit)
+		}
 	}
 }

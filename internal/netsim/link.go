@@ -133,6 +133,9 @@ func newLinkState(n *Network, l topo.Link) *linkState {
 	ls.sh = n.shards[n.shardOf[l.From]]
 	ls.dstShard = int(n.shardOf[l.To])
 	ls.cross = n.windowed && ls.sh.idx != ls.dstShard
+	if ls.cross && ls.sh.out[ls.dstShard] == nil {
+		ls.sh.out[ls.dstShard] = newHandoffRing()
+	}
 	ls.rank = eventsim.NewRankOwner(uint64(len(n.G.Nodes)) + uint64(l.ID))
 	ls.extra = time.Duration(l.DelayNS)
 	if n.switches[l.From] != nil {

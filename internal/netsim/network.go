@@ -25,11 +25,12 @@ type Config struct {
 	Seed int64
 	// Shards selects the engine. Zero runs the original serial engine
 	// (byte-compatible with all pre-sharding results). Any value >= 1
-	// runs the windowed parallel engine over a topo.Partition into that
-	// many shards; windowed results are byte-identical for every shard
-	// count (including 1), but differ from the serial engine because
-	// RNG draws come from per-entity streams instead of one shared
-	// engine RNG.
+	// runs the windowed engine on that many worker goroutines (1 runs
+	// inline, with none); how finely the graph is cut for them to share
+	// is the engine's decision (topo.Refine). Results are identical for
+	// every value >= 1, but differ from the serial engine because RNG
+	// draws come from per-entity streams instead of one shared engine
+	// RNG.
 	Shards int
 	// DisableBatch turns off same-instant delivery fusion, forcing one
 	// event-loop round trip per packet. Results are byte-identical either
@@ -119,7 +120,12 @@ type Network struct {
 // New builds a network over g. Every switch node gets a dataplane switch
 // with the TofinoLike budget and a base Router installed; every host node
 // gets a Host runtime.
-func New(g *topo.Graph, cfg Config) *Network {
+func New(g *topo.Graph, cfg Config) *Network { return newOn(g, cfg, nil) }
+
+// newOn is New over a given partition (nil: the engine chooses). The
+// partition is a performance decision no result depends on; tests pass one
+// to prove that.
+func newOn(g *topo.Graph, cfg Config, part *topo.Shards) *Network {
 	// Zero-valued tunables take their defaults one by one; the seed, the
 	// engine selection and every other field are the caller's.
 	def := DefaultConfig()
@@ -158,7 +164,7 @@ func New(g *topo.Graph, cfg Config) *Network {
 			n.hosts[node.ID] = newHost(n, node.ID)
 		}
 	}
-	n.setupShards(cfg)
+	n.setupShards(cfg, part)
 	// Links resolve their owning shard at construction, so shards must
 	// exist first.
 	n.links = make([]*linkState, len(g.Links))
@@ -178,15 +184,20 @@ func New(g *topo.Graph, cfg Config) *Network {
 }
 
 // setupShards builds the shard runtime: one shardState in serial mode,
-// or a partition with per-shard engines, hand-off rings, per-switch RNG
-// streams, and a window scheduler in windowed mode.
-func (n *Network) setupShards(cfg Config) {
+// or a partition with per-partition engines, hand-off rings, per-switch RNG
+// streams, and a window scheduler with cfg.Shards workers in windowed mode.
+// All mutable state is per partition, never per worker: which worker ran a
+// partition in which window must be unobservable.
+func (n *Network) setupShards(cfg Config, part *topo.Shards) {
 	g := n.G
 	n.windowed = cfg.Shards >= 1
 	n.shardOf = make([]int32, len(g.Nodes))
 	k := 1
 	if n.windowed {
-		n.part = topo.Partition(g, cfg.Shards)
+		if part == nil {
+			part = topo.Refine(g, cfg.Shards)
+		}
+		n.part = part
 		k = n.part.K
 		for i, s := range n.part.Of {
 			n.shardOf[i] = int32(s)
@@ -210,12 +221,9 @@ func (n *Network) setupShards(cfg Config) {
 		return
 	}
 	for _, sh := range n.shards {
+		// Rings appear with the cut links that use them (newLinkState):
+		// a fine partition has many pairs and few neighbours.
 		sh.out = make([]*handoffRing, k)
-		for d := range sh.out {
-			if d != sh.idx {
-				sh.out[d] = newHandoffRing()
-			}
-		}
 	}
 	n.swRNG = make([]*rand.Rand, len(g.Nodes))
 	for _, node := range g.Nodes {
@@ -237,6 +245,7 @@ func (n *Network) setupShards(cfg Config) {
 	n.group = &eventsim.ShardGroup{
 		Coord:     n.Eng,
 		Shards:    engines,
+		Workers:   cfg.Shards,
 		Lookahead: lookahead,
 		Exchange:  n.exchange,
 	}
@@ -700,23 +709,37 @@ func (n *Network) dispatchEmission(at topo.NodeID, em dataplane.Emission, in top
 	case em.Via >= 0:
 		n.Enqueue(em.Via, em.Pkt)
 	case em.Pkt.Proto == packet.ProtoProbe:
-		// Flood on all switch-to-switch links except the ingress.
-		for _, lid := range n.G.Out(at) {
-			if lid == in {
-				continue
-			}
-			l := n.G.Links[lid]
-			if in >= 0 && n.G.Links[in].Reverse == lid {
-				continue
-			}
-			if n.G.Nodes[l.To].Kind != topo.Switch {
-				continue
-			}
-			n.Enqueue(lid, em.Pkt.Clone())
-		}
+		n.flood(at, em.Pkt, in)
 	default:
 		// Locally originated: run the pipeline to route it.
 		n.processAtSwitch(at, em.Pkt, -1, depth+1)
+	}
+}
+
+// flood sends a probe out of every switch-to-switch link of at except the
+// ingress. Every target but the last gets a clone; the last takes pkt
+// itself (its emitter built it for this and keeps no reference), so N
+// targets cost N-1 clones, in unchanged order.
+func (n *Network) flood(at topo.NodeID, pkt *packet.Packet, in topo.LinkID) {
+	last := topo.LinkID(-1)
+	for _, lid := range n.G.Out(at) {
+		if lid == in {
+			continue
+		}
+		l := n.G.Links[lid]
+		if in >= 0 && n.G.Links[in].Reverse == lid {
+			continue
+		}
+		if n.G.Nodes[l.To].Kind != topo.Switch {
+			continue
+		}
+		if last >= 0 {
+			n.Enqueue(last, pkt.Clone())
+		}
+		last = lid
+	}
+	if last >= 0 {
+		n.Enqueue(last, pkt)
 	}
 }
 

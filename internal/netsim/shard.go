@@ -34,8 +34,8 @@ type shardState struct {
 	batchSwitch topo.NodeID
 	batchDone   func(k int, v dataplane.Verdict)
 
-	// out[d] carries hand-offs to shard d; nil on the diagonal and in
-	// serial mode.
+	// out[d] carries hand-offs to shard d; nil where no link crosses from
+	// this shard into d, and in serial mode.
 	out []*handoffRing
 
 	// Drop/delivery accounting. Global totals are sums over shards, read
@@ -258,6 +258,35 @@ func (n *Network) exchange() {
 				dst.eng.ScheduleRank(h.at, h.rank, a.fire)
 			})
 		}
+	}
+	n.levelPools()
+}
+
+// Pool levelling thresholds: a pool below poolLow free packets is topped up
+// from one holding more than poolHigh.
+const (
+	poolLow  = 256
+	poolHigh = 1024
+)
+
+// levelPools tops up the emptiest packet pool from the fullest. A packet is
+// allocated from the sending partition's pool and freed into the receiving
+// one's, and attack traffic is one-way, so without this pools drain one
+// way: the sender allocates fresh packets every rep of a warm fabric while
+// the receiver's free list grows without bound. Barrier-only; which Packet
+// object a Get returns is unobservable (Put zeroes it), so levelling cannot
+// change a result.
+func (n *Network) levelPools() {
+	poor, rich := &n.shards[0].pool, &n.shards[0].pool
+	for _, sh := range n.shards[1:] {
+		if f := sh.pool.Free(); f < poor.Free() {
+			poor = &sh.pool
+		} else if f > rich.Free() {
+			rich = &sh.pool
+		}
+	}
+	if poor.Free() < poolLow && rich.Free() > poolHigh {
+		rich.MoveTo(poor, (rich.Free()-poor.Free())/2)
 	}
 }
 

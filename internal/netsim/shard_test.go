@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -17,7 +18,10 @@ type shardFingerprint struct {
 	recvBytes                                       []uint64
 	linkSentPkts                                    []uint64
 	linkDrops                                       []uint64
+	offered, arrived                                uint64
 	now                                             time.Duration
+	// partitions is how finely the engine cut the graph (Network.Shards).
+	partitions int
 	// windows counts barrier rounds. It is engine telemetry, not a
 	// simulation result: adaptive lookahead legitimately changes it, so
 	// equality checks that span lookahead modes must skip it.
@@ -35,6 +39,14 @@ func runSharded(t *testing.T, shards int) shardFingerprint {
 // batching and lookahead knobs over the identical scenario.
 func runShardedCfg(t *testing.T, shards int, mutate func(*Config)) shardFingerprint {
 	t.Helper()
+	return runShardedOn(t, shards, 0, mutate)
+}
+
+// runShardedOn is runShardedCfg over a parts-way topo.Partition instead of
+// the engine's own choice (parts = 0), so tests can hold the worker count
+// and vary only how finely the graph is cut.
+func runShardedOn(t *testing.T, shards, parts int, mutate func(*Config)) shardFingerprint {
+	t.Helper()
 	m := topo.NewMultiRegion(3, 5)
 	users := m.AttachUsers(6)
 	bots := m.AttachBots(9)
@@ -47,7 +59,11 @@ func runShardedCfg(t *testing.T, shards int, mutate func(*Config)) shardFingerpr
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	n := New(g, cfg)
+	var part *topo.Shards
+	if parts > 0 {
+		part = topo.Partition(g, parts)
+	}
+	n := newOn(g, cfg, part)
 	installShortestPathRoutes(n)
 
 	var aimds []*AIMDSource
@@ -89,7 +105,10 @@ func runShardedCfg(t *testing.T, shards int, mutate func(*Config)) shardFingerpr
 		loss:      n.DropsLoss(),
 		now:       n.Now(),
 		windows:   n.Windows(),
+
+		partitions: n.Shards(),
 	}
+	fp.offered, fp.arrived = n.LinkLedger()
 	for _, s := range aimds {
 		fp.ackedBytes = append(fp.ackedBytes, s.AckedBytes())
 	}
@@ -129,23 +148,66 @@ func TestWindowedRunShardCountInvariant(t *testing.T) {
 		t.Fatalf("degenerate baseline: delivered=%d loss=%d", base.delivered, base.loss)
 	}
 	for _, k := range []int{2, 4} {
-		got := runSharded(t, k)
-		if got.delivered != base.delivered || got.noRoute != base.noRoute ||
-			got.queue != base.queue || got.pipeline != base.pipeline ||
-			got.down != base.down || got.loss != base.loss || got.now != base.now {
-			t.Fatalf("shards=%d counters diverge:\n  base %+v\n  got  %+v", k, base, got)
+		if d := base.diff(runSharded(t, k)); d != "" {
+			t.Fatalf("shards=%d: %s", k, d)
 		}
-		if !eqU64s(got.ackedBytes, base.ackedBytes) {
-			t.Fatalf("shards=%d per-flow goodput diverges:\n  base %v\n  got  %v", k, base.ackedBytes, got.ackedBytes)
+	}
+}
+
+// diff names the first simulation result in which two runs differ ("" when
+// none does). Engine telemetry — windows, partitions — is not compared.
+func (base shardFingerprint) diff(got shardFingerprint) string {
+	switch {
+	case got.delivered != base.delivered || got.noRoute != base.noRoute ||
+		got.queue != base.queue || got.pipeline != base.pipeline ||
+		got.down != base.down || got.loss != base.loss || got.now != base.now:
+		return fmt.Sprintf("counters diverge:\n  base %+v\n  got  %+v", base, got)
+	case got.offered != base.offered || got.arrived != base.arrived:
+		return fmt.Sprintf("link ledger diverges: base %d/%d, got %d/%d", base.offered, base.arrived, got.offered, got.arrived)
+	case !eqU64s(got.ackedBytes, base.ackedBytes):
+		return fmt.Sprintf("per-flow goodput diverges:\n  base %v\n  got  %v", base.ackedBytes, got.ackedBytes)
+	case !eqU64s(got.cbrSent, base.cbrSent):
+		return fmt.Sprintf("CBR send counts diverge:\n  base %v\n  got  %v", base.cbrSent, got.cbrSent)
+	case !eqU64s(got.recvBytes, base.recvBytes):
+		return "server receive totals diverge"
+	case !eqU64s(got.linkSentPkts, base.linkSentPkts) || !eqU64s(got.linkDrops, base.linkDrops):
+		return "per-link statistics diverge"
+	}
+	return ""
+}
+
+// TestWindowedRunPartitionInvariant is the twin of the shard-count test
+// with the worker count held: the same two workers over the plain 2-way
+// partition, over every finer one, and over the engine's own refinement
+// must produce identical results — how finely the graph is cut is purely a
+// performance decision. The refined run must really have more partitions
+// than workers, or the claim path was not exercised.
+func TestWindowedRunPartitionInvariant(t *testing.T) {
+	const workers = 2
+	base := runShardedOn(t, workers, workers, nil)
+	if base.partitions != workers || base.delivered == 0 || base.loss == 0 {
+		t.Fatalf("degenerate baseline: partitions=%d delivered=%d loss=%d", base.partitions, base.delivered, base.loss)
+	}
+	refined := runSharded(t, workers)
+	if refined.partitions <= workers {
+		t.Fatalf("engine cut %d partitions for %d workers; refinement is not in effect", refined.partitions, workers)
+	}
+	if d := base.diff(refined); d != "" {
+		t.Fatalf("refined (%d partitions) vs %d-way: %s", refined.partitions, workers, d)
+	}
+	// The refinement kept the lookahead, so it pays for no extra barrier.
+	if refined.windows != base.windows {
+		t.Fatalf("refined run took %d windows, the %d-way partition %d", refined.windows, workers, base.windows)
+	}
+	// Finer than Refine would go (5 and 7 cut inside a ring, shrinking the
+	// lookahead 50x): slower, still identical.
+	for _, parts := range []int{3, 5, 7} {
+		got := runShardedOn(t, workers, parts, nil)
+		if got.partitions != parts {
+			t.Fatalf("asked for %d partitions, got %d", parts, got.partitions)
 		}
-		if !eqU64s(got.cbrSent, base.cbrSent) {
-			t.Fatalf("shards=%d CBR send counts diverge:\n  base %v\n  got  %v", k, base.cbrSent, got.cbrSent)
-		}
-		if !eqU64s(got.recvBytes, base.recvBytes) {
-			t.Fatalf("shards=%d server receive totals diverge", k)
-		}
-		if !eqU64s(got.linkSentPkts, base.linkSentPkts) || !eqU64s(got.linkDrops, base.linkDrops) {
-			t.Fatalf("shards=%d per-link statistics diverge", k)
+		if d := base.diff(got); d != "" {
+			t.Fatalf("%d partitions vs %d-way: %s", parts, workers, d)
 		}
 	}
 }

@@ -44,3 +44,17 @@ func (p *Pool) Put(pkt *Packet) {
 	*pkt = Packet{}
 	p.free = append(p.free, pkt)
 }
+
+// Free returns how many recycled packets the pool holds.
+func (p *Pool) Free() int { return len(p.free) }
+
+// MoveTo hands n recycled packets (at most Free) to dst. Gets and News are
+// untouched on both sides: nothing was allocated or served, the packets
+// only changed free lists.
+func (p *Pool) MoveTo(dst *Pool, n int) {
+	n = min(n, len(p.free))
+	keep := len(p.free) - n
+	dst.free = append(dst.free, p.free[keep:]...)
+	clear(p.free[keep:])
+	p.free = p.free[:keep]
+}

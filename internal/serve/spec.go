@@ -67,8 +67,9 @@ type ScenarioSpec struct {
 	// UserRateBps is the offered rate per normal user flow (default 5e6).
 	UserRateBps float64 `json:"user_rate_bps,omitempty"`
 	// Shards selects the simulation engine for this job: 0 the serial
-	// engine, K>=1 the windowed sharded engine. Results are identical for
-	// every K (DESIGN.md, "Sharded conservative engine").
+	// engine, K>=1 the windowed sharded engine on K worker goroutines.
+	// Results are identical for every K (DESIGN.md, "Sharded conservative
+	// engine").
 	Shards int `json:"shards,omitempty"`
 }
 

@@ -115,12 +115,14 @@ func Send(n *netsim.Network, from, to topo.NodeID, stateID uint16, blob []byte, 
 // can be forwarded between switches (the base TE only installs host
 // routes). Call once at setup.
 func RouterRoutesForSwitches(n *netsim.Network) {
-	for _, sw := range n.G.Switches() {
-		for _, other := range n.G.Switches() {
+	switches := n.G.Switches()
+	for _, sw := range switches {
+		tree := n.G.ShortestPathTree(sw, nil)
+		for _, other := range switches {
 			if sw == other {
 				continue
 			}
-			p, ok := n.G.ShortestPath(sw, other, nil)
+			p, ok := tree.PathTo(other)
 			if !ok || len(p.Links) == 0 {
 				continue
 			}

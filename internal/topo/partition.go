@@ -238,3 +238,33 @@ func delayDistances(g *Graph, src NodeID) []int64 {
 	}
 	return dist
 }
+
+// Refine returns the partition a sharded run with the given number of worker
+// goroutines executes. Workers are not partitions: cutting the graph finer
+// than the worker count lets the runtime balance uneven regions by handing
+// the heaviest parts out first, so Refine picks the finest partition that
+// costs no lookahead — the largest p in (workers, 4·workers] for which
+// Partition yields p parts whose minimum cut delay is not below the
+// workers-way partition's. When no finer cut keeps the lookahead, or with
+// one worker (nothing to balance), it is Partition(g, workers) itself.
+func Refine(g *Graph, workers int) *Shards {
+	base := Partition(g, workers)
+	if workers <= 1 {
+		return base
+	}
+	for p := 4 * workers; p > workers; p-- {
+		if s := Partition(g, p); s.K == p && s.lookahead() >= base.lookahead() {
+			return s
+		}
+	}
+	return base
+}
+
+// lookahead is MinCutDelayNS with "no link crosses" read as unbounded, so
+// partitions compare by how wide a conservative window they allow.
+func (s *Shards) lookahead() int64 {
+	if len(s.CutLinks) == 0 {
+		return 1<<63 - 1
+	}
+	return s.MinCutDelayNS
+}

@@ -253,3 +253,55 @@ func TestPartitionSkewWithoutHints(t *testing.T) {
 			unhinted.MinCutDelayNS, RegionLinkDelay)
 	}
 }
+
+// fig3xGraph is the registry's fig3x topology: four remote rings of ten
+// switches around the Figure-2 victim region, with its host population.
+func fig3xGraph() *Graph {
+	m := NewMultiRegion(4, 10)
+	m.AttachUsers(16)
+	m.AttachBots(96)
+	m.AttachServers(8)
+	return m.Graph()
+}
+
+// TestRefine pins the workers-to-partitions rule: the refined partition is
+// finer than the worker count wherever that is free, never at the price of
+// lookahead, and degenerates to Partition where it cannot help.
+func TestRefine(t *testing.T) {
+	graphs := []struct {
+		name  string
+		g     *Graph
+		parts map[int]int // workers -> partitions, where pinned
+	}{
+		{"fig3x", fig3xGraph(), map[int]int{1: 1, 2: 5, 4: 5}},
+		{"planet(6,4)", NewPlanetScale(6, 4).Graph(), map[int]int{1: 1, 2: 7}},
+		{"figure2", NewFigure2().G, map[int]int{1: 1}},
+		{"linear(3)", NewLinear(3), map[int]int{1: 1, 3: 3, 10: 3}},
+		{"empty", NewGraph(), map[int]int{0: 1, 4: 1}},
+	}
+	for _, tc := range graphs {
+		for _, k := range []int{0, 1, 2, 3, 4, 10} {
+			base, s := Partition(tc.g, k), Refine(tc.g, k)
+			if want, ok := tc.parts[k]; ok && s.K != want {
+				t.Errorf("%s: Refine(%d) cut %d partitions, want %d", tc.name, k, s.K, want)
+			}
+			if s.K < base.K || s.K > 4*max(k, 1) {
+				t.Errorf("%s: Refine(%d) cut %d partitions, outside [%d, %d]", tc.name, k, s.K, base.K, 4*max(k, 1))
+			}
+			if s.lookahead() < base.lookahead() {
+				t.Errorf("%s: Refine(%d) lowered the lookahead from %d to %d ns", tc.name, k, base.lookahead(), s.lookahead())
+			}
+			if k <= 1 && s.K != 1 {
+				t.Errorf("%s: one worker must keep one partition, got %d", tc.name, s.K)
+			}
+			for _, h := range tc.g.Hosts() {
+				if edge := tc.g.HostEdgeSwitch(h); edge >= 0 && s.Of[h] != s.Of[edge] {
+					t.Errorf("%s: Refine(%d) split host %d from its edge switch %d", tc.name, k, h, edge)
+				}
+			}
+			if again := Refine(tc.g, k); !reflect.DeepEqual(s, again) {
+				t.Errorf("%s: Refine(%d) differs between two calls", tc.name, k)
+			}
+		}
+	}
+}

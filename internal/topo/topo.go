@@ -247,6 +247,29 @@ func (p Path) Contains(lid LinkID) bool {
 // unreachable. banned links (may be nil) are excluded, which is how fast
 // reroute and attack-aware TE avoid failed or congested links.
 func (g *Graph) ShortestPath(src, dst NodeID, banned map[LinkID]bool) (Path, bool) {
+	return g.pathTree(src, dst, banned).PathTo(dst)
+}
+
+// PathTree is the shortest-path tree out of one source: the final
+// predecessor link of every node Dijkstra settled. Callers that need paths
+// from one source to many destinations build the tree once and read each
+// path out of it, instead of paying one Dijkstra per pair.
+type PathTree struct {
+	g    *Graph
+	src  NodeID
+	prev []LinkID
+}
+
+// ShortestPathTree runs Dijkstra from src over the whole graph. Every
+// PathTo(dst) equals ShortestPath(src, dst, banned) link for link: weights
+// are positive, so a node's predecessor is final once the node is settled,
+// and stopping early at one destination never changes a path.
+func (g *Graph) ShortestPathTree(src NodeID, banned map[LinkID]bool) *PathTree {
+	return g.pathTree(src, -1, banned)
+}
+
+// pathTree is Dijkstra from src, stopping once stop is settled (-1: never).
+func (g *Graph) pathTree(src, stop NodeID, banned map[LinkID]bool) *PathTree {
 	const inf = 1e18
 	dist := make([]float64, len(g.Nodes))
 	prev := make([]LinkID, len(g.Nodes))
@@ -270,18 +293,18 @@ func (g *Graph) ShortestPath(src, dst NodeID, banned map[LinkID]bool) (Path, boo
 			break
 		}
 		done[best] = true
-		if best == dst {
+		if best == stop {
 			break
+		}
+		// Hosts never forward transit traffic.
+		if g.Nodes[best].Kind == Host && best != src {
+			continue
 		}
 		for _, lid := range g.Out(best) {
 			if banned[lid] {
 				continue
 			}
 			l := g.Links[lid]
-			// Hosts never forward transit traffic.
-			if g.Nodes[best].Kind == Host && best != src {
-				continue
-			}
 			nd := dist[best] + g.weight(l)
 			if nd < dist[l.To] || (nd == dist[l.To] && prev[l.To] >= 0 && lid < prev[l.To]) {
 				dist[l.To] = nd
@@ -289,18 +312,23 @@ func (g *Graph) ShortestPath(src, dst NodeID, banned map[LinkID]bool) (Path, boo
 			}
 		}
 	}
-	if prev[dst] == -1 && src != dst {
+	return &PathTree{g: g, src: src, prev: prev}
+}
+
+// PathTo returns the tree's path from its source to dst; ok is false if dst
+// is unreachable.
+func (t *PathTree) PathTo(dst NodeID) (Path, bool) {
+	if t.prev[dst] == -1 && t.src != dst {
 		return Path{}, false
 	}
-	var rev []LinkID
-	for at := dst; at != src; {
-		lid := prev[at]
-		rev = append(rev, lid)
-		at = g.Links[lid].From
+	n := 0
+	for at := dst; at != t.src; at = t.g.Links[t.prev[at]].From {
+		n++
 	}
-	links := make([]LinkID, len(rev))
-	for i := range rev {
-		links[i] = rev[len(rev)-1-i]
+	links := make([]LinkID, n)
+	for at := dst; at != t.src; at = t.g.Links[t.prev[at]].From {
+		n--
+		links[n] = t.prev[at]
 	}
 	return Path{Links: links}, true
 }

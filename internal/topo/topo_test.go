@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -324,5 +325,38 @@ func TestWeightedShortestPathPrefersCheapDetour(t *testing.T) {
 	p, _ := g.ShortestPath(a, b, nil)
 	if p.Contains(direct) {
 		t.Fatal("took the expensive direct link")
+	}
+}
+
+// TestShortestPathTreeMatchesPairwise pins the split of ShortestPath into
+// "tree from src" + "path to dst": on every (src, dst) pair the full tree
+// yields link for link the path the early-exit pairwise search finds, with
+// and without banned links, including unreachable and src == dst pairs.
+func TestShortestPathTreeMatchesPairwise(t *testing.T) {
+	fig2 := NewFigure2()
+	fig2.AttachUsers(4)
+	fig2.AttachServers(2)
+	isp := NewMultiRegion(4, 10)
+	isp.AttachUsers(8)
+	isp.AttachServers(2)
+	for name, g := range map[string]*Graph{
+		"figure2":     fig2.G,
+		"multiregion": isp.Graph(),
+		"planet":      NewPlanetScale(6, 4).Graph(),
+	} {
+		bans := []map[LinkID]bool{nil, {0: true, LinkID(len(g.Links) / 2): true}}
+		for _, banned := range bans {
+			for src := range g.Nodes {
+				tree := g.ShortestPathTree(NodeID(src), banned)
+				for dst := range g.Nodes {
+					want, wok := g.ShortestPath(NodeID(src), NodeID(dst), banned)
+					got, gok := tree.PathTo(NodeID(dst))
+					if wok != gok || !reflect.DeepEqual(want.Links, got.Links) {
+						t.Fatalf("%s %d->%d (banned %v): tree path %v,%v, pairwise %v,%v",
+							name, src, dst, banned, got.Links, gok, want.Links, wok)
+					}
+				}
+			}
+		}
 	}
 }
