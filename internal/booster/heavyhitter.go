@@ -103,7 +103,8 @@ func (h *HeavyHitter) Process(ctx *dataplane.Context) dataplane.Verdict {
 	if p.Proto != packet.ProtoTCP && p.Proto != packet.ProtoUDP {
 		return dataplane.Continue
 	}
-	hash := p.Key().Hash()
+	key, _ := p.Flow()
+	hash := key.Hash() // the sketch-row hash, not the table hash
 	if h.epochEnds == 0 {
 		h.epochEnds = ctx.Now + h.cfg.Epoch
 	}

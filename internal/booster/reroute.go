@@ -6,7 +6,6 @@ import (
 
 	"fastflex/internal/dataplane"
 	"fastflex/internal/packet"
-	"fastflex/internal/sketch"
 	"fastflex/internal/topo"
 )
 
@@ -130,28 +129,25 @@ func newFlowletTable(capacity int) flowletTable {
 	return t
 }
 
-// findSlot returns the slot holding k, or the empty slot where k belongs.
-func (t *flowletTable) findSlot(k packet.FlowKey) uint64 {
-	i := sketch.HashFlowKey(k) & t.mask
+// find probes for k, whose table hash is h: the slot that holds it or the
+// empty slot where it belongs, and the entry when present.
+func (t *flowletTable) find(k packet.FlowKey, h uint64) (uint64, *flowletEntry) {
+	i := h & t.mask
 	for {
 		s := t.slots[i]
-		if s == 0 || t.entries[s-1].key == k {
-			return i
+		if s == 0 {
+			return i, nil
+		}
+		if e := &t.entries[s-1]; e.key == k {
+			return i, e
 		}
 		i = (i + 1) & t.mask
 	}
 }
 
-func (t *flowletTable) lookup(k packet.FlowKey) *flowletEntry {
-	if s := t.slots[t.findSlot(k)]; s != 0 {
-		return &t.entries[s-1]
-	}
-	return nil
-}
-
-// insert stores a new entry; the caller has checked len() < capacity and
-// that k is absent.
-func (t *flowletTable) insert(e flowletEntry) {
+// insert stores a new entry in the empty slot find returned for its key; the
+// caller has checked len() < capacity.
+func (t *flowletTable) insert(slot uint64, e flowletEntry) {
 	var idx int32
 	if ln := len(t.free); ln > 0 {
 		idx = t.free[ln-1]
@@ -161,7 +157,7 @@ func (t *flowletTable) insert(e flowletEntry) {
 		idx = int32(len(t.entries))
 		t.entries = append(t.entries, e)
 	}
-	t.slots[t.findSlot(e.key)] = idx + 1
+	t.slots[slot] = idx + 1
 }
 
 func (t *flowletTable) len() int { return len(t.entries) - len(t.free) }
@@ -182,7 +178,8 @@ func (t *flowletTable) evictStale(now, timeout time.Duration) {
 			t.free = append(t.free, int32(i))
 			continue
 		}
-		t.slots[t.findSlot(e.key)] = int32(i) + 1
+		slot, _ := t.find(e.key, e.key.TableHash())
+		t.slots[slot] = int32(i) + 1
 	}
 }
 
@@ -270,10 +267,14 @@ func (r *Reroute) Process(ctx *dataplane.Context) dataplane.Verdict {
 		return dataplane.Continue
 	}
 	// Flowlet pinning: packets of an active burst keep their egress so
-	// path changes never reorder a flow mid-burst.
-	key := p.Key()
+	// path changes never reorder a flow mid-burst. The table is probed once
+	// per pass; whichever branch records the decision below reuses the
+	// result.
+	var at flowletAt
 	if r.cfg.FlowletTimeout > 0 {
-		if fl := r.flowlets.lookup(key); fl != nil &&
+		at.key, at.hash = p.Flow()
+		at.slot, at.entry = r.flowlets.find(at.key, at.hash)
+		if fl := at.entry; fl != nil &&
 			ctx.Now-fl.lastSeen < r.cfg.FlowletTimeout &&
 			ctx.Now-fl.firstSeen < r.cfg.MaxFlowletAge {
 			fl.lastSeen = ctx.Now
@@ -291,7 +292,7 @@ func (r *Reroute) Process(ctx *dataplane.Context) dataplane.Verdict {
 	}
 	via, bestU, ok := r.BestVia(dsw, ctx.Now, exclude)
 	if !ok || via == ctx.OutLink {
-		r.recordFlowlet(key, ctx.OutLink, ctx.Now)
+		r.recordFlowlet(at, ctx.OutLink, ctx.Now)
 		return dataplane.Continue
 	}
 	// Hysteresis against the TE egress: move only if clearly better.
@@ -301,23 +302,32 @@ func (r *Reroute) Process(ctx *dataplane.Context) dataplane.Verdict {
 			cur = e.util
 		}
 		if bestU+r.cfg.Hysteresis >= cur {
-			r.recordFlowlet(key, ctx.OutLink, ctx.Now)
+			r.recordFlowlet(at, ctx.OutLink, ctx.Now)
 			return dataplane.Continue
 		}
 	}
 	ctx.OutLink = via
 	r.Rerouted++
-	r.recordFlowlet(key, via, ctx.Now)
+	r.recordFlowlet(at, via, ctx.Now)
 	return dataplane.Continue
+}
+
+// flowletAt is where one packet's flow sits in the flowlet table: the result
+// of the pass's single probe, handed to recordFlowlet.
+type flowletAt struct {
+	key   packet.FlowKey
+	hash  uint64
+	slot  uint64
+	entry *flowletEntry
 }
 
 // recordFlowlet remembers a steering decision; the table is bounded by
 // wholesale eviction of stale entries when full (register-array style).
-func (r *Reroute) recordFlowlet(key packet.FlowKey, via topo.LinkID, now time.Duration) {
+func (r *Reroute) recordFlowlet(at flowletAt, via topo.LinkID, now time.Duration) {
 	if r.cfg.FlowletTimeout <= 0 || via < 0 {
 		return
 	}
-	if fl := r.flowlets.lookup(key); fl != nil {
+	if fl := at.entry; fl != nil {
 		fl.via, fl.firstSeen, fl.lastSeen = via, now, now
 		return
 	}
@@ -326,8 +336,10 @@ func (r *Reroute) recordFlowlet(key packet.FlowKey, via topo.LinkID, now time.Du
 		if r.flowlets.len() >= r.cfg.FlowletCapacity {
 			return // table genuinely full of live flowlets; skip recording
 		}
+		// Eviction rebuilt the slot array, so the key's empty slot moved.
+		at.slot, _ = r.flowlets.find(at.key, at.hash)
 	}
-	r.flowlets.insert(flowletEntry{key: key, via: via, firstSeen: now, lastSeen: now})
+	r.flowlets.insert(at.slot, flowletEntry{key: at.key, via: via, firstSeen: now, lastSeen: now})
 }
 
 // handleProbe folds a received utilization probe into the table and
@@ -359,7 +371,7 @@ func (r *Reroute) handleProbe(ctx *dataplane.Context) {
 	if pi.HopsLeft == 0 {
 		return
 	}
-	fl := ctx.Pkt.Clone()
+	fl := ctx.Pool.Clone(ctx.Pkt)
 	fl.Probe.HopsLeft--
 	fl.Probe.UtilMicro = uint32(pathUtil * 1e6)
 	ctx.Emit(fl, -1)
@@ -370,19 +382,15 @@ func (r *Reroute) handleProbe(ctx *dataplane.Context) {
 func (r *Reroute) originateProbe(ctx *dataplane.Context) {
 	r.seq++
 	r.Probes++
-	pr := &packet.Packet{
-		Src:   packet.RouterAddr(int(r.self)),
-		Dst:   packet.RouterAddr(0xFFFE), // flood address, never delivered
-		TTL:   64,
-		Proto: packet.ProtoProbe,
-		Probe: &packet.ProbeInfo{
-			Kind:      packet.ProbeUtil,
-			Origin:    packet.RouterAddr(int(r.self)),
-			Seq:       r.seq,
-			HopsLeft:  r.cfg.ProbeHops,
-			DstSwitch: uint16(r.self),
-			UtilMicro: 0,
-		},
-	}
+	pr := ctx.Pool.GetProbe()
+	pr.Src = packet.RouterAddr(int(r.self))
+	pr.Dst = packet.RouterAddr(0xFFFE) // flood address, never delivered
+	pr.TTL = 64
+	pi := pr.Probe
+	pi.Kind = packet.ProbeUtil
+	pi.Origin = pr.Src
+	pi.Seq = r.seq
+	pi.HopsLeft = r.cfg.ProbeHops
+	pi.DstSwitch = uint16(r.self) // UtilMicro starts at 0
 	ctx.Emit(pr, -1)
 }

@@ -188,12 +188,9 @@ func New(g *topo.Graph, cfg Config) (*Fabric, error) {
 	// switch-local timers real hardware drives register evaluation with.
 	f.heartbeat = eventsim.NewTicker(n.Eng, 100*time.Millisecond, func() {
 		for _, sw := range g.Switches() {
-			hb := &packet.Packet{
-				Src: packet.RouterAddr(int(sw)), Dst: packet.RouterAddr(int(sw)),
-				TTL: 2, Proto: packet.ProtoProbe,
-				Probe: &packet.ProbeInfo{Kind: packet.ProbeUtil,
-					Origin: packet.RouterAddr(int(sw)), DstSwitch: uint16(sw)},
-			}
+			hb := n.PoolAt(sw).GetProbe()
+			hb.Src, hb.Dst, hb.TTL = packet.RouterAddr(int(sw)), packet.RouterAddr(int(sw)), 2
+			hb.Probe.Kind, hb.Probe.Origin, hb.Probe.DstSwitch = packet.ProbeUtil, hb.Src, uint16(sw)
 			n.OriginateAt(sw, hb)
 		}
 	})

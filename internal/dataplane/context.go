@@ -34,6 +34,12 @@ type Emission struct {
 //
 // Now is the virtual clock of the driving simulation (a time.Duration since
 // simulation start, never a wall-clock read), injected per packet like RNG.
+//
+// Flow state is keyed through Pkt.Flow(): the five-tuple key and its table
+// hash are derived once per packet, not once per table per hop, so a PPM
+// that indexes a flow table (sketch.FlowTable.Observe, the reroute
+// booster's flowlet pins) takes the pair from there rather than from
+// Pkt.Key().
 type Context struct {
 	Now    time.Duration
 	Switch topo.NodeID
@@ -42,6 +48,14 @@ type Context struct {
 	InLink topo.LinkID
 	Pkt    *packet.Packet
 	RNG    Rand
+	// Pool is where a PPM takes the packets it emits from — a probe it
+	// originates (GetProbe), a copy it re-floods (Clone) — so that they are
+	// recycled at end of life like the traffic they ride with. It is the
+	// pool of the partition executing this pass, injected per pass like RNG;
+	// nil (a context built by hand) allocates from the heap. Pkt belongs to
+	// the simulator: a PPM neither Puts it nor keeps it, and copies any
+	// Probe layer or State bytes it wants to outlive the pass (packet.Pool).
+	Pool *packet.Pool
 	// Modes is the switch's active mode set at processing time, so PPMs
 	// can adapt behavior across mode combinations (e.g. reroute-all vs
 	// pin-normal-flows in Figure 2's step (2) vs step (3)).

@@ -11,10 +11,12 @@ import (
 //
 // Lifecycle: the engine owns fired events. Once an event has fired, its
 // *Event may be recycled for a later Schedule/After call, so handles must
-// only be retained for *pending* events (cancel-and-forget, as Ticker and
-// the netsim sources do). Cancelling the currently-firing event from
-// inside its own callback is safe; cancelling a stale handle after the
-// event fired is not.
+// only be retained for *pending* events. A holder that is done with a
+// pending event either Cancels it and may keep the handle (it goes on
+// reporting Cancelled), or Drops it — cancel-and-forget, as Ticker and the
+// netsim sources do — and the engine recycles that event too. Cancelling or
+// dropping the currently-firing event from inside its own callback is safe;
+// doing either through a stale handle after the event fired is not.
 type Event struct {
 	At time.Duration // virtual time at which the event fires
 	Fn func()        // callback; runs with the clock set to At
@@ -31,7 +33,10 @@ type Event struct {
 	seq  uint64 // tie-breaker: insertion order for equal At
 	next *Event // intrusive link in the calendar bucket's sorted list
 	idx  int    // bucket index, farIdx in the far tier, -1 otherwise
-	dead bool   // set by Cancel
+	dead bool   // set by Cancel and Drop
+	// forgot marks a dead far-tier event whose handle was given up (Drop):
+	// the sweep that removes it from the far buffer recycles it.
+	forgot bool
 }
 
 // Cancelled reports whether the event was cancelled before firing.
@@ -146,10 +151,11 @@ type Engine struct {
 	// insertion order. See RequireRank.
 	rankOnly bool
 
-	// free is the recycle list for fired events. Cancelled events are
-	// deliberately *not* recycled: callers may retain their handles (to
-	// call Cancel again, or Cancelled), and reusing them would redirect
-	// those stale handles at unrelated events.
+	// free is the recycle list for fired and dropped events. Cancelled
+	// events are deliberately *not* recycled: callers may retain their
+	// handles (to call Cancel again, or Cancelled), and reusing them would
+	// redirect those stale handles at unrelated events. Drop is how a caller
+	// says it retains nothing.
 	free []*Event
 }
 
@@ -357,10 +363,10 @@ func (e *Engine) removeNear(ev *Event) {
 // migrate advances the near/far boundary and moves every live far event
 // that falls under it into the calendar ring. Callers must ensure
 // farLive > 0; the new boundary clears the earliest far event, so the
-// ring is non-empty on return. Cancelled entries are dropped here (their
-// events stay unrecycled — see the free-list comment). Both passes scan
-// the buffer in append order, so the whole operation is a deterministic
-// function of the schedule/cancel history.
+// ring is non-empty on return. Cancelled entries are dropped here (dropped
+// ones recycled — see the free-list comment). Both passes scan the buffer in
+// append order, so the whole operation is a deterministic function of the
+// schedule/cancel history.
 func (e *Engine) migrate() {
 	var minAt time.Duration
 	found := false
@@ -373,6 +379,7 @@ func (e *Engine) migrate() {
 	keep := e.far[:0]
 	for _, fe := range e.far {
 		if fe.ev.dead {
+			e.sweep(fe.ev)
 			continue
 		}
 		if fe.at < split {
@@ -396,7 +403,9 @@ func (e *Engine) migrate() {
 func (e *Engine) compactFar() {
 	keep := e.far[:0]
 	for _, fe := range e.far {
-		if !fe.ev.dead {
+		if fe.ev.dead {
+			e.sweep(fe.ev)
+		} else {
 			keep = append(keep, fe)
 		}
 	}
@@ -404,6 +413,16 @@ func (e *Engine) compactFar() {
 		e.far[i] = farEntry{}
 	}
 	e.far = keep
+}
+
+// sweep disposes of a dead event leaving the far buffer: a dropped one goes
+// back on the free list in the state a cleanly fired event is in, a
+// cancelled one stays with whoever holds its handle.
+func (e *Engine) sweep(ev *Event) {
+	if ev.forgot {
+		ev.dead, ev.forgot, ev.idx = false, false, -1
+		e.release(ev)
+	}
 }
 
 // alloc returns a reset Event, reusing a fired one when possible. The
@@ -420,10 +439,10 @@ func (e *Engine) alloc() *Event {
 	return &Event{}
 }
 
-// release recycles a cleanly fired event (see the free-list comment).
-// Every caller pops the event first, which already leaves next=nil,
-// idx=-1, and (checked) dead=false, so only the fusion tags need
-// clearing here. Fn is deliberately left set — it is overwritten by the
+// release recycles a cleanly fired or dropped event (see the free-list
+// comment). Every caller takes the event out of the queue first, which
+// already leaves next=nil, idx=-1, and (checked) dead=false, so only the
+// fusion tags need clearing here. Fn is deliberately left set — it is overwritten by the
 // next alloc+Schedule, and nil'ing it would cost a write-barriered store
 // per event; the price is that a free-listed event keeps its last
 // callback alive until reuse, which is bounded by the free list size.
@@ -530,23 +549,41 @@ func (e *Engine) PeekAt() (at time.Duration, ok bool) {
 // currently-firing event (or nil) is always safe; re-cancelling the same
 // handle is a no-op. Handles to events that already fired must not be
 // cancelled — the engine may have recycled them (see Event).
-func (e *Engine) Cancel(ev *Event) {
+func (e *Engine) Cancel(ev *Event) { e.cancel(ev, false) }
+
+// Drop is Cancel by a caller that gives the handle up: it must not touch ev
+// again, and in return the engine recycles the Event like one that fired.
+// Timers that are armed and disarmed once per packet (a retransmission
+// timer per segment, cancelled by its ACK) are cancel-and-forget, and
+// without this every one of them is garbage.
+func (e *Engine) Drop(ev *Event) { e.cancel(ev, true) }
+
+// cancel takes a pending event out of the queue; forget says the caller
+// keeps no handle, so the Event goes back on the free list — at once from
+// the near tier, at the next sweep from the far tier, and through the
+// dispatch loop's own release if it is the event now firing.
+//
+//ffvet:hotpath
+func (e *Engine) cancel(ev *Event, forget bool) {
 	if ev == nil || ev.dead {
 		return
 	}
-	if ev.idx == farIdx {
+	switch {
+	case ev.idx == farIdx:
 		// Far-tier cancel is O(1): the entry is dropped lazily at the
 		// next migration or compaction sweep.
-		ev.dead = true
+		ev.dead, ev.forgot = true, forget
 		e.farLive--
-		return
+	case ev.idx < 0:
+		ev.dead = !forget // currently firing (or already popped)
+	default:
+		e.removeNear(ev)
+		if forget {
+			e.release(ev)
+		} else {
+			ev.dead = true
+		}
 	}
-	if ev.idx < 0 {
-		ev.dead = true // currently firing (or already popped)
-		return
-	}
-	ev.dead = true
-	e.removeNear(ev)
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -728,7 +765,7 @@ func (t *Ticker) arm() {
 func (t *Ticker) Stop() {
 	t.stopped = true
 	if t.pending != nil {
-		t.eng.Cancel(t.pending)
+		t.eng.Drop(t.pending)
 		t.pending = nil
 	}
 }

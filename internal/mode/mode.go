@@ -202,7 +202,7 @@ func (c *Controller) handleModeChange(ctx *dataplane.Context) dataplane.Verdict 
 		c.apply(dataplane.ModeID(pi.Mode), !pi.Clear, ctx.Now)
 	}
 	if !dup && pi.HopsLeft > 0 {
-		fl := ctx.Pkt.Clone()
+		fl := ctx.Pool.Clone(ctx.Pkt)
 		fl.Probe.HopsLeft--
 		ctx.Emit(fl, -1)
 	}
@@ -288,23 +288,28 @@ func (c *Controller) RequestClear(ctx *dataplane.Context, m dataplane.ModeID, re
 }
 
 func (c *Controller) emitProbe(ctx *dataplane.Context, m dataplane.ModeID, region uint16, clear bool) {
+	pi := c.floodProbe(ctx, packet.ProbeModeChange)
+	pi.Mode = uint8(m)
+	pi.Region = region
+	pi.Clear = clear
+}
+
+// floodProbe emits a flood probe of the given kind from this switch, with
+// the next sequence number, and returns its header for the caller to fill
+// in the kind-specific fields (emissions leave after the pipeline pass).
+func (c *Controller) floodProbe(ctx *dataplane.Context, kind packet.ProbeKind) *packet.ProbeInfo {
 	c.seq++
-	pr := &packet.Packet{
-		Src:   packet.RouterAddr(int(c.self)),
-		Dst:   packet.RouterAddr(0xFFFE),
-		TTL:   64,
-		Proto: packet.ProtoProbe,
-		Probe: &packet.ProbeInfo{
-			Kind:     packet.ProbeModeChange,
-			Origin:   packet.RouterAddr(int(c.self)),
-			Seq:      c.seq,
-			HopsLeft: c.cfg.ProbeHops,
-			Mode:     uint8(m),
-			Region:   region,
-			Clear:    clear,
-		},
-	}
+	pr := ctx.Pool.GetProbe()
+	pr.Src = packet.RouterAddr(int(c.self))
+	pr.Dst = packet.RouterAddr(0xFFFE)
+	pr.TTL = 64
+	pi := pr.Probe
+	pi.Kind = kind
+	pi.Origin = pr.Src
+	pi.Seq = c.seq
+	pi.HopsLeft = c.cfg.ProbeHops
 	ctx.Emit(pr, -1)
+	return pi
 }
 
 // ActiveSince returns when the mode was locally activated; ok is false if
@@ -327,24 +332,10 @@ func (c *Controller) broadcastSync(ctx *dataplane.Context) {
 	// Sorted so sequence numbers and probe emission order are reproducible
 	// across runs regardless of metric registration history.
 	for _, id := range eventsim.SortedKeys(c.metrics) {
-		fn := c.metrics[id]
-		c.seq++
-		pr := &packet.Packet{
-			Src:   packet.RouterAddr(int(c.self)),
-			Dst:   packet.RouterAddr(0xFFFE),
-			TTL:   64,
-			Proto: packet.ProtoProbe,
-			Probe: &packet.ProbeInfo{
-				Kind:      packet.ProbeSync,
-				Origin:    packet.RouterAddr(int(c.self)),
-				Seq:       c.seq,
-				HopsLeft:  c.cfg.ProbeHops,
-				Mode:      id,
-				UtilMicro: fn(),
-				SyncCount: 1,
-			},
-		}
-		ctx.Emit(pr, -1)
+		pi := c.floodProbe(ctx, packet.ProbeSync)
+		pi.Mode = id
+		pi.UtilMicro = c.metrics[id]()
+		pi.SyncCount = 1
 	}
 }
 
@@ -360,7 +351,7 @@ func (c *Controller) handleSync(ctx *dataplane.Context) dataplane.Verdict {
 	}
 	c.view[id][pi.Origin] = syncSample{value: pi.UtilMicro, count: pi.SyncCount, at: ctx.Now}
 	if !dup && pi.HopsLeft > 0 {
-		fl := ctx.Pkt.Clone()
+		fl := ctx.Pool.Clone(ctx.Pkt)
 		fl.Probe.HopsLeft--
 		ctx.Emit(fl, -1)
 	}

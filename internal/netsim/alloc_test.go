@@ -99,11 +99,13 @@ func TestIdleBacklogAlternationZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestProbeFloodClonesPerTarget bounds the garbage of a probe flood: the
-// last target takes the emitted packet itself, so flooding to N neighbours
-// clones N-1 times (a clone is two objects, the Packet and its ProbeInfo) —
-// not N with the emitted copy thrown away. A ring switch re-flooding away
-// from its ingress has one target and clones nothing.
+// TestProbeFloodClonesPerTarget pins a probe flood's cost under the pool
+// contract: the emitter takes one probe from the pool per flood, the last
+// target forwards that very packet and every other target a pooled clone
+// (N targets, N-1 clones), and each copy is recycled where it is consumed —
+// so a warm network floods without a pool miss or an allocation. A ring
+// switch re-flooding away from its ingress has one target and clones
+// nothing; a flood with nowhere to go recycles the probe on the spot.
 func TestProbeFloodClonesPerTarget(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -115,6 +117,7 @@ func TestProbeFloodClonesPerTarget(t *testing.T) {
 		{"ring transit", topo.NewRing(6), 0, func(g *topo.Graph) topo.LinkID { return g.LinkBetween(5, 0) }, 1},
 		{"ring origin", topo.NewRing(6), 0, func(*topo.Graph) topo.LinkID { return -1 }, 2},
 		{"fig2 core origin", topo.NewFigure2().G, topo.NewFigure2().CoreA, func(*topo.Graph) topo.LinkID { return -1 }, -1},
+		{"dead end", topo.NewLinear(2), 0, func(g *topo.Graph) topo.LinkID { return g.LinkBetween(1, 0) }, 0},
 	} {
 		n := New(tc.g, DefaultConfig())
 		in := tc.in(tc.g)
@@ -122,9 +125,9 @@ func TestProbeFloodClonesPerTarget(t *testing.T) {
 		if targets < 0 {
 			targets = len(n.SwitchLinks(tc.at))
 		}
-		probe := &packet.Packet{Proto: packet.ProtoProbe, TTL: 64, Probe: &packet.ProbeInfo{Kind: packet.ProbeUtil}}
 		flood := func() {
-			probe.TTL = 64 // the last target forwards this very packet
+			probe := n.PoolAt(tc.at).GetProbe()
+			probe.TTL, probe.Probe.Kind = 64, packet.ProbeUtil
 			n.dispatchEmission(tc.at, dataplane.Emission{Pkt: probe, Via: -1}, in, 0)
 			// Let every copy reach its neighbour and be consumed there (no
 			// booster is installed), so queues and rings stay empty.
@@ -134,14 +137,21 @@ func TestProbeFloodClonesPerTarget(t *testing.T) {
 			flood()
 		}
 		offered, _ := n.LinkLedger()
+		gets, misses := n.PoolStats()
 		flood()
 		after, _ := n.LinkLedger()
 		if got := int(after - offered); got != targets {
 			t.Fatalf("%s: flood reached %d links, want %d", tc.name, got, targets)
 		}
-		if allocs, limit := testing.AllocsPerRun(200, flood), float64(2*(targets-1)); allocs > limit {
-			t.Errorf("%s: a flood to %d targets allocates %.1f objects, want <= %.0f (one clone per target but the last)",
-				tc.name, targets, allocs, limit)
+		if g, _ := n.PoolStats(); int(g-gets) != max(targets, 1) {
+			t.Errorf("%s: a flood to %d targets took %d packets from the pool, want %d (the probe, and a clone per target but the last)",
+				tc.name, targets, g-gets, max(targets, 1))
+		}
+		if allocs := testing.AllocsPerRun(200, flood); allocs != 0 {
+			t.Errorf("%s: a flood to %d targets allocates %.1f objects on a warm network, want 0", tc.name, targets, allocs)
+		}
+		if news(n) != misses {
+			t.Errorf("%s: %d pool misses on a warm network, want 0", tc.name, news(n)-misses)
 		}
 	}
 }

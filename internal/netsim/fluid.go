@@ -330,7 +330,7 @@ func (fl *fluidLink) recompute(now time.Duration) {
 	fl.in = in
 
 	if fl.emptyEv != nil {
-		fl.eng().Cancel(fl.emptyEv)
+		fl.eng().Drop(fl.emptyEv)
 		fl.emptyEv = nil
 	}
 	if fl.q > 0 && in < fl.cap {

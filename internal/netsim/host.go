@@ -154,7 +154,7 @@ func (h *Host) receive(p *packet.Packet, in topo.LinkID) {
 		h.account(p)
 		// Auto-ACK data so window-based senders can clock themselves.
 		// receive runs inside the host's shard, so allocate there.
-		ack := h.net.newPacketAt(h.node)
+		ack := h.net.PoolAt(h.node).Get()
 		ack.Src, ack.Dst, ack.TTL, ack.Proto = h.addr, p.Src, 64, packet.ProtoTCP
 		ack.SrcPort, ack.DstPort = p.DstPort, p.SrcPort
 		ack.Flags, ack.Seq = packet.FlagACK, p.Seq
@@ -182,7 +182,7 @@ func (h *Host) Traceroute(dst packet.Addr, maxTTL int, timeout time.Duration, do
 		}
 	})
 	for ttl := 1; ttl <= maxTTL; ttl++ {
-		pkt := h.net.newPacketAt(h.node)
+		pkt := h.net.PoolAt(h.node).Get()
 		pkt.Src, pkt.Dst, pkt.TTL, pkt.Proto = h.addr, dst, uint8(ttl), packet.ProtoUDP
 		pkt.SrcPort, pkt.DstPort = 33434, 33434
 		pkt.Seq = base + uint32(ttl-1)

@@ -9,79 +9,33 @@ import (
 	"fastflex/internal/topo"
 )
 
-// linkLedger audits the link layer's packet ledger from outside its
+// checkLinkLedger audits the link layer's packet ledger from outside its
 // counters: every packet offered to a link was lost, tail-dropped, has
 // arrived at the far end, or is still on a link. "Still on a link" is
 // counted independently of offered/arrived, from where the packets actually
-// sit: the links' inflight rings, the undrained hand-off rings, and the
-// cross-shard arrival events pending in destination engines.
-type linkLedger struct {
-	n *Network
-	// made[d] counts the arrivalEvents ever created for shard d. Pending
-	// ones are then made[d] - len(arrFree): an arrivalEvent is either in the
-	// free list or scheduled with a packet.
-	made []int
-}
-
-func newLinkLedger(n *Network) *linkLedger {
-	l := &linkLedger{n: n, made: make([]int, len(n.shards))}
-	if n.group != nil {
-		n.group.Exchange = func() {
-			l.beforeExchange()
-			n.exchange()
-		}
-	}
-	return l
-}
-
-// handoffs counts the packets (not fluid rate updates) sitting in the
-// hand-off rings toward shard d.
-func (l *linkLedger) handoffs(d int) int {
-	c := 0
-	for _, src := range l.n.shards {
-		if src.out == nil || src.out[d] == nil {
-			continue
-		}
-		r := src.out[d]
-		for h, t := r.head.Load(), r.tail.Load(); h < t; h++ {
-			if r.buf[h&uint64(len(r.buf)-1)].pkt != nil {
-				c++
-			}
-		}
-		for i := range r.overflow {
-			if r.overflow[i].pkt != nil {
-				c++
-			}
-		}
-	}
-	return c
-}
-
-// beforeExchange predicts how many arrivalEvents the coming exchange must
-// allocate: one per hand-off beyond what the destination's free list holds.
-func (l *linkLedger) beforeExchange() {
-	for d, dst := range l.n.shards {
-		if miss := l.handoffs(d) - len(dst.arrFree); miss > 0 {
-			l.made[d] += miss
-		}
-	}
-}
-
-// run is Network.Run; the exchange Run performs before its first window
-// bypasses the group hook, so it is tallied here.
-func (l *linkLedger) run(horizon time.Duration) {
-	l.beforeExchange()
-	l.n.Run(horizon)
-}
-
-func (l *linkLedger) check(t *testing.T, label string) (onLinks int) {
+// sit: the links' inflight rings and the undrained hand-off rings.
+func checkLinkLedger(t *testing.T, n *Network, label string) (onLinks int) {
 	t.Helper()
-	n := l.n
 	for _, ls := range n.links {
 		onLinks += ls.inflight.len()
 	}
-	for d, dst := range n.shards {
-		onLinks += l.handoffs(d) + l.made[d] - len(dst.arrFree)
+	for _, src := range n.shards {
+		for _, r := range src.out {
+			if r == nil {
+				continue
+			}
+			// Packets, not fluid rate updates.
+			for h, t := r.head.Load(), r.tail.Load(); h < t; h++ {
+				if r.buf[h&uint64(len(r.buf)-1)].pkt != nil {
+					onLinks++
+				}
+			}
+			for i := range r.overflow {
+				if r.overflow[i].pkt != nil {
+					onLinks++
+				}
+			}
+		}
 	}
 	offered, arrived := n.LinkLedger()
 	if got := n.DropsLoss() + n.DropsQueue() + arrived + uint64(onLinks); offered != got {
@@ -99,11 +53,10 @@ func (l *linkLedger) check(t *testing.T, label string) (onLinks int) {
 func TestLinkLedger(t *testing.T) {
 	const horizon = 6 * time.Second
 	audit := func(t *testing.T, label string, n *Network) {
-		l := newLinkLedger(n)
 		var midRun int
-		n.Eng.Schedule(horizon*2/3, func() { midRun = l.check(t, label+" mid-run") })
-		l.run(horizon)
-		l.check(t, label+" horizon")
+		n.Eng.Schedule(horizon*2/3, func() { midRun = checkLinkLedger(t, n, label+" mid-run") })
+		n.Run(horizon)
+		checkLinkLedger(t, n, label+" horizon")
 		if midRun == 0 || n.DropsQueue() == 0 || n.DropsLoss() == 0 {
 			t.Fatalf("%s: vacuous run: %d packets on links mid-run, %d queue drops, %d losses",
 				label, midRun, n.DropsQueue(), n.DropsLoss())

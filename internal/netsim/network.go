@@ -302,9 +302,16 @@ func (n *Network) adaptiveBound(base, horizon time.Duration) time.Duration {
 
 // NewPacket returns a zeroed packet from the network's pool. Callers run
 // in coordinator context (setup code, controllers at barriers); simulation
-// internals executing inside a shard allocate via newPacketAt instead so
-// pools stay goroutine-local.
+// internals executing inside a shard allocate from that shard's pool
+// instead so pools stay goroutine-local.
 func (n *Network) NewPacket() *packet.Packet { return n.shards[0].pool.Get() }
+
+// PoolAt returns the packet pool of the partition that owns node id: the
+// one to take a packet from when it is about to be injected at that node
+// (OriginateAt, SendFromHost), so it is recycled where it was born. Like
+// NewPacket it is for coordinator context; inside the pipeline a PPM uses
+// dataplane.Context.Pool, which is this pool.
+func (n *Network) PoolAt(id topo.NodeID) *packet.Pool { return &n.shardAt(id).pool }
 
 // PoolStats reports packet-pool traffic summed over shards: total Get
 // calls and how many had to allocate. In steady state news stops growing;
@@ -521,9 +528,7 @@ func (n *Network) SendFromHost(h topo.NodeID, pkt *packet.Packet) {
 // classDeliver tags link-delivery events for batch fusion: when a run of
 // them is adjacent at the head of an engine (same instant, consecutive
 // ranks), deliverRun pops the whole run and processes the packets as one
-// batch. Only local (same-shard) deliveries are tagged; cross-shard
-// arrivals travel as pooled arrivalEvents that carry their packet
-// explicitly and are left unfused.
+// batch. Local and cross-shard deliveries are the same event (exchange).
 const classDeliver = 1
 
 // deliverRun fires when the head-of-line packet of ls reaches the far end.
@@ -605,6 +610,7 @@ func (n *Network) processSwitchRun(sh *shardState, id topo.NodeID, lo, hi int) {
 	ctx := sh.getCtx()
 	ctx.Now = sh.eng.Now()
 	ctx.Switch = id
+	ctx.Pool = &sh.pool
 	if n.windowed {
 		ctx.RNG = n.swRNG[id]
 	} else {
@@ -665,6 +671,7 @@ func (n *Network) processAtSwitch(id topo.NodeID, pkt *packet.Packet, in topo.Li
 	ctx.Switch = id
 	ctx.InLink = in
 	ctx.Pkt = pkt
+	ctx.Pool = &sh.pool
 	if n.windowed {
 		// Per-switch stream: pipeline randomness depends only on this
 		// switch's packet history, never on the partition.
@@ -717,10 +724,12 @@ func (n *Network) dispatchEmission(at topo.NodeID, em dataplane.Emission, in top
 }
 
 // flood sends a probe out of every switch-to-switch link of at except the
-// ingress. Every target but the last gets a clone; the last takes pkt
+// ingress. Every target but the last gets a pooled clone; the last takes pkt
 // itself (its emitter built it for this and keeps no reference), so N
-// targets cost N-1 clones, in unchanged order.
+// targets cost N-1 clones, in unchanged order, and a flood with nowhere to
+// go ends the packet's life here.
 func (n *Network) flood(at topo.NodeID, pkt *packet.Packet, in topo.LinkID) {
+	sh := n.shardAt(at)
 	last := topo.LinkID(-1)
 	for _, lid := range n.G.Out(at) {
 		if lid == in {
@@ -734,13 +743,15 @@ func (n *Network) flood(at topo.NodeID, pkt *packet.Packet, in topo.LinkID) {
 			continue
 		}
 		if last >= 0 {
-			n.Enqueue(last, pkt.Clone())
+			n.Enqueue(last, sh.pool.Clone(pkt))
 		}
 		last = lid
 	}
-	if last >= 0 {
-		n.Enqueue(last, pkt)
+	if last < 0 {
+		sh.freePacket(pkt)
+		return
 	}
+	n.Enqueue(last, pkt)
 }
 
 // SwitchLinks returns the IDs of a switch's outgoing switch-to-switch links.

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fastflex/internal/eventsim"
+	"fastflex/internal/packet"
 	"fastflex/internal/topo"
 )
 
@@ -21,10 +22,10 @@ import (
 // ordering and rank keys. Switch pipeline state is NOT touched; callers
 // that own dataplane programs reset them separately (core.Fabric.Reset).
 //
-// Packets queued or in flight at reset are recycled into their shard's
-// pool; pending events (including cross-shard arrival events) are
-// dropped to the garbage collector, never recycled, because their owners
-// may still hold handles.
+// Packets on a link or in a hand-off ring at reset are recycled into the
+// pool of the shard that holds them; pending events are dropped to the
+// garbage collector, never recycled, because their owners may still hold
+// handles.
 func (n *Network) Reset(seed int64) {
 	n.Cfg.Seed = seed
 	n.Eng.Reset(seed)
@@ -66,8 +67,8 @@ func (n *Network) Reset(seed int64) {
 
 // reset rewinds one shard's runtime: counters, batch scratch, and hand-off
 // rings. The packet pool keeps its free list (warm reuse is the point) but
-// restarts its statistics; context/arrival free lists survive as-is
-// since pooled entries are already quiescent.
+// restarts its statistics; the context free list survives as-is since
+// pooled entries are already quiescent.
 func (sh *shardState) reset() {
 	sh.pool.Gets, sh.pool.News = 0, 0
 	sh.batch.Reset()
@@ -75,7 +76,7 @@ func (sh *shardState) reset() {
 	sh.batchSwitch = 0
 	for _, r := range sh.out {
 		if r != nil {
-			r.reset()
+			r.reset(&sh.pool)
 		}
 	}
 	sh.dropsNoRoute = 0
@@ -87,21 +88,13 @@ func (sh *shardState) reset() {
 	sh.offered, sh.arrived = 0, 0
 }
 
-// reset clears a hand-off ring, dropping any packets still inside to the
-// garbage collector. Barrier-quiescent only (the producer goroutine must be
-// parked, which is always true between runs).
-func (r *handoffRing) reset() {
-	h, t := r.head.Load(), r.tail.Load()
-	for ; h < t; h++ {
-		r.buf[h&uint64(len(r.buf)-1)] = handoff{}
-	}
+// reset empties a hand-off ring, recycling the packets still inside into
+// pool. Barrier-quiescent only (the producer goroutine must be parked, which
+// is always true between runs).
+func (r *handoffRing) reset(pool *packet.Pool) {
+	r.drain(func(h handoff) { pool.Put(h.pkt) })
 	r.head.Store(0)
 	r.tail.Store(0)
-	for i := range r.overflow {
-		r.overflow[i] = handoff{}
-	}
-	r.overflow = r.overflow[:0]
-	r.spilling = false
 }
 
 // reset returns a link to its just-built state: queued and in-flight

@@ -23,7 +23,6 @@ type shardState struct {
 
 	pool    packet.Pool
 	ctxFree []*dataplane.Context
-	arrFree []*arrivalEvent
 
 	// Batched-delivery scratch state. batch collects a fused run of
 	// same-instant arrivals (deliverRun); batchCtx/batchSwitch expose the
@@ -205,17 +204,6 @@ func (r *handoffRing) drain(fn func(handoff)) {
 	r.spilling = false
 }
 
-// arrivalEvent is a pooled cross-shard delivery: the destination-side twin
-// of linkState.deliver, carrying its packet explicitly because the source
-// shard's inflight ring cannot be read from another shard.
-type arrivalEvent struct {
-	n    *Network
-	sh   *shardState // destination shard (owns the pool entry)
-	link topo.LinkID
-	pkt  *packet.Packet
-	fire func()
-}
-
 // exchange drains every hand-off ring into the destination engines. It
 // runs at barriers, so all engines and pools are safe to touch. Injection
 // uses each hand-off's exact (at, rank); pop order then depends only on
@@ -240,22 +228,16 @@ func (n *Network) exchange() {
 					})
 					return
 				}
-				var a *arrivalEvent
-				if ln := len(dst.arrFree); ln > 0 {
-					a = dst.arrFree[ln-1]
-					dst.arrFree[ln-1] = nil
-					dst.arrFree = dst.arrFree[:ln-1]
-				} else {
-					a = &arrivalEvent{n: n, sh: dst}
-					a.fire = func() {
-						link, pkt := a.link, a.pkt
-						a.pkt = nil
-						a.sh.arrFree = append(a.sh.arrFree, a)
-						a.n.arrive(link, pkt)
-					}
-				}
-				a.link, a.pkt = h.link, h.pkt
-				dst.eng.ScheduleRank(h.at, h.rank, a.fire)
+				// From here on the hand-off is what a local enqueue leaves
+				// behind: the packet on the link's inflight ring and the
+				// link's delivery event at (at, rank). A link's arrival
+				// times strictly increase and only this drain ever pushes on
+				// a cut link's ring (its source shard never touches it), so
+				// the ring head is always the packet the next event is for.
+				ls := n.links[h.link]
+				ls.inflight.push(h.pkt)
+				ev := dst.eng.ScheduleRank(h.at, h.rank, ls.deliver)
+				ev.Class, ev.Key = classDeliver, int32(h.link)
 			})
 		}
 	}
@@ -293,12 +275,6 @@ func (n *Network) levelPools() {
 // shardAt returns the shard owning a node (the only shard whose goroutine
 // executes that node's packets).
 func (n *Network) shardAt(id topo.NodeID) *shardState { return n.shards[n.shardOf[id]] }
-
-// newPacketAt allocates from the pool of the shard that owns node id; use
-// it for any allocation made while executing inside that node's shard.
-func (n *Network) newPacketAt(id topo.NodeID) *packet.Packet {
-	return n.shards[n.shardOf[id]].pool.Get()
-}
 
 // newRankOwner mints a merge-rank source with the next unused entity key.
 // Creation order is part of the simulation's deterministic setup, so keys

@@ -72,7 +72,7 @@ func (s *CBRSource) Start() {
 func (s *CBRSource) Stop() {
 	s.running = false
 	if s.pending != nil {
-		s.sh.eng.Cancel(s.pending)
+		s.sh.eng.Drop(s.pending)
 		s.pending = nil
 	}
 }
@@ -107,7 +107,7 @@ func (s *CBRSource) scheduleNext(first bool) {
 }
 
 func (s *CBRSource) emit() {
-	p := s.net.newPacketAt(s.host)
+	p := s.sh.pool.Get()
 	p.Src, p.Dst, p.TTL = packet.HostAddr(int(s.host)), s.dst, 64
 	p.Proto, p.SrcPort, p.DstPort = s.proto, s.sport, s.dport
 	p.PayloadLen, p.Seq = s.payload, s.seq
@@ -203,7 +203,7 @@ func (s *AIMDSource) Stop() {
 	s.running = false
 	//ffvet:ok cancelling every pending timer is order-independent
 	for seq, t := range s.inflight {
-		s.sh.eng.Cancel(t.ev)
+		s.sh.eng.Drop(t.ev)
 		delete(s.inflight, seq)
 		s.rtoFree = append(s.rtoFree, t)
 	}
@@ -264,14 +264,14 @@ func (s *AIMDSource) transmit(seq uint32) {
 	if seq == 0 {
 		flags |= packet.FlagSYN
 	}
-	p := s.net.newPacketAt(s.host)
+	p := s.sh.pool.Get()
 	p.Src, p.Dst, p.TTL = packet.HostAddr(int(s.host)), s.dst, 64
 	p.Proto, p.SrcPort, p.DstPort = packet.ProtoTCP, s.sport, s.dport
 	p.Flags, p.Seq, p.PayloadLen = flags, seq, s.payload
 	s.sentPackets++
 	t, ok := s.inflight[seq]
 	if ok {
-		s.sh.eng.Cancel(t.ev)
+		s.sh.eng.Drop(t.ev)
 	} else {
 		t = s.getTimer()
 		t.seq = seq
@@ -308,7 +308,7 @@ func (s *AIMDSource) getTimer() *rtoTimer {
 func (s *AIMDSource) onAck(p *packet.Packet) {
 	seq := p.Seq
 	if t, ok := s.inflight[seq]; ok {
-		s.sh.eng.Cancel(t.ev)
+		s.sh.eng.Drop(t.ev)
 		delete(s.inflight, seq)
 		sample := s.sh.eng.Now() - t.sendTime
 		if s.srtt == 0 {

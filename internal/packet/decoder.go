@@ -75,8 +75,8 @@ func (d *Decoder) DecodeInto(data []byte) (*Packet, int, error) {
 // decodeProbe mirrors ProbeInfo.unmarshal but reuses the decoder's state
 // buffer instead of allocating.
 func (d *Decoder) decodeProbe(data []byte) error {
-	if len(data) < probeFixedLen {
-		return fmt.Errorf("packet: short probe header: %d bytes", len(data))
+	if err := checkProbeLen(len(data)); err != nil {
+		return err
 	}
 	d.probe = ProbeInfo{
 		Kind:      ProbeKind(data[0]),

@@ -11,7 +11,10 @@
 // that data; nothing here reads a clock or randomness. Following the
 // gopacket idioms from the networking guides, decoding writes into
 // caller-owned structs without allocation on the hot path, FlowKey is a
-// fixed-size array so it can be used directly as a map key, and Pool
-// recycles data packets deterministically (a per-Network LIFO free list,
-// not a sync.Pool) so forwarding allocates nothing in steady state.
+// fixed-size array so it can be used directly as a map key (Packet.Flow
+// derives it, and its table hash, once per packet), and Pool recycles
+// packets — probes and flood copies included — deterministically (a
+// per-partition LIFO free list, not a sync.Pool) under an explicit
+// ownership contract, so forwarding and defending allocate nothing in
+// steady state.
 package packet

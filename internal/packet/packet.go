@@ -107,6 +107,10 @@ type ICMPInfo struct {
 // Packet is one simulated packet. The struct is the in-memory decoded form;
 // Marshal/Unmarshal define the wire format. PayloadLen counts application
 // bytes that are accounted for in transmission time but not materialized.
+//
+// The five-tuple (Src, Dst, Proto, SrcPort, DstPort) is written once, by
+// whoever builds the packet, and is frozen from the first Flow call on: no
+// PPM rewrites it, which is what lets Flow memoize (see Flow).
 type Packet struct {
 	Src, Dst Addr
 	TTL      uint8
@@ -132,6 +136,17 @@ type Packet struct {
 	// Topology obfuscation uses it to synthesize positionally-stable
 	// traceroute responses.
 	Hops uint8
+
+	// pooled marks a packet born from a Pool (set by Get, for life); only
+	// such packets are ever recycled. See Pool for the ownership contract.
+	pooled bool
+	// flowKey and flowHash are the Flow memo, valid when flowOK.
+	flowOK   bool
+	flowKey  FlowKey
+	flowHash uint64
+	// probeBuf is a pooled packet's own ProbeInfo, attached the first time
+	// the packet serves as a probe and reused every time after.
+	probeBuf *ProbeInfo
 }
 
 // FlowKey identifies a five-tuple flow. It is a fixed-size array (not a
@@ -147,6 +162,31 @@ func (p *Packet) Key() FlowKey {
 	binary.BigEndian.PutUint16(k[9:11], p.SrcPort)
 	binary.BigEndian.PutUint16(k[11:13], p.DstPort)
 	return k
+}
+
+// Flow returns the packet's five-tuple key and its table hash
+// (FlowKey.TableHash), derived on the first call and remembered: the parser
+// of a hardware pipeline extracts header metadata once and every stage
+// matches on it, and so do the flow tables here — a packet crosses several
+// switches and several tables per switch, all asking for the same pair. The
+// memo is sound because the five-tuple is frozen once Flow has been called
+// (see Packet); Pool.Put forgets it, Pool.Clone and Clone carry it over, and
+// Unmarshal overwrites it with the rest of the packet.
+//
+//ffvet:hotpath
+func (p *Packet) Flow() (FlowKey, uint64) {
+	if !p.flowOK {
+		p.deriveFlow()
+	}
+	return p.flowKey, p.flowHash
+}
+
+// deriveFlow fills the Flow memo. It is kept out of Flow so that the
+// memoized read inlines into the flow tables' lookups.
+func (p *Packet) deriveFlow() {
+	p.flowKey = p.Key()
+	p.flowHash = p.flowKey.TableHash()
+	p.flowOK = true
 }
 
 // Reverse returns the key of the opposite direction of the flow.
@@ -177,6 +217,23 @@ func (k FlowKey) Hash() uint64 {
 		h ^= uint64(b)
 		h *= prime
 	}
+	return h
+}
+
+// TableHash mixes the five-tuple into a table index. Two overlapping 8-byte
+// loads cover the 13-byte key without a length-dispatched hash loop; it is
+// the index hash of the open-addressed flow structures in sketch and the
+// boosters, which read it through Packet.Flow. (Hash stays the sketch-row
+// hash — changing that would move every sketch counter.)
+func (k FlowKey) TableHash() uint64 {
+	a := uint64(k[0]) | uint64(k[1])<<8 | uint64(k[2])<<16 | uint64(k[3])<<24 |
+		uint64(k[4])<<32 | uint64(k[5])<<40 | uint64(k[6])<<48 | uint64(k[7])<<56
+	b := uint64(k[5]) | uint64(k[6])<<8 | uint64(k[7])<<16 | uint64(k[8])<<24 |
+		uint64(k[9])<<32 | uint64(k[10])<<40 | uint64(k[11])<<48 | uint64(k[12])<<56
+	h := a ^ b*0x9e3779b97f4a7c15
+	h ^= h >> 29
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 32
 	return h
 }
 
@@ -260,14 +317,17 @@ func (p *Packet) Marshal(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// Unmarshal decodes one packet from data into p (overwriting all fields)
-// and returns the number of bytes consumed. The application payload is
-// represented only by PayloadLen and occupies no wire bytes.
+// Unmarshal decodes one packet from data into p (overwriting all fields,
+// the Flow memo included; a pooled packet stays pooled) and returns the
+// number of bytes consumed. The application payload is represented only by
+// PayloadLen and occupies no wire bytes.
 func (p *Packet) Unmarshal(data []byte) (int, error) {
 	if len(data) < baseHeaderLen {
 		return 0, fmt.Errorf("packet: short header: %d bytes", len(data))
 	}
 	*p = Packet{
+		pooled:     p.pooled,
+		probeBuf:   p.probeBuf,
 		Src:        Addr(binary.BigEndian.Uint32(data[0:4])),
 		Dst:        Addr(binary.BigEndian.Uint32(data[4:8])),
 		TTL:        data[8],
@@ -313,18 +373,47 @@ func (p *Packet) Unmarshal(data []byte) (int, error) {
 	return baseHeaderLen + l4len, nil
 }
 
-// Clone returns a deep copy, used when the simulator fans a packet out to
-// multiple links (probe flooding) so per-hop TTL edits don't alias.
+// Clone returns a deep copy on the heap: like any packet not born from a
+// Pool it is never recycled. The simulator's fan-out paths (probe flooding)
+// use Pool.Clone instead.
 func (p *Packet) Clone() *Packet {
-	q := *p
-	if p.ICMP != nil {
-		ic := *p.ICMP
-		q.ICMP = &ic
+	q := new(Packet)
+	q.copyFrom(p)
+	return q
+}
+
+// copyFrom makes p a deep copy of src — header, layers, Flow memo — while p
+// keeps its own identity: whether it is pooled, and its probe buffer, which
+// receives src's probe layer when src has one.
+func (p *Packet) copyFrom(src *Packet) {
+	pooled, buf := p.pooled, p.probeBuf
+	*p = *src
+	p.pooled, p.probeBuf = pooled, buf
+	if src.ICMP != nil {
+		ic := *src.ICMP
+		p.ICMP = &ic
 	}
-	if p.Probe != nil {
-		q.Probe = p.Probe.clone()
+	if src.Probe != nil {
+		pi := p.attachProbe()
+		state := pi.State[:0]
+		*pi = *src.Probe
+		pi.State = append(state, src.Probe.State...)
 	}
-	return &q
+}
+
+// attachProbe makes p's own probe buffer its Probe layer and returns it,
+// contents as they were left: the buffer is allocated on first use and, on
+// a pooled packet, kept for life (State keeps its capacity too).
+func (p *Packet) attachProbe() *ProbeInfo {
+	pi := p.probeBuf
+	if pi == nil {
+		pi = new(ProbeInfo)
+		if p.pooled {
+			p.probeBuf = pi
+		}
+	}
+	p.Probe = pi
+	return pi
 }
 
 // String renders a compact human-readable description for traces.

@@ -121,8 +121,8 @@ func (pi *ProbeInfo) marshal() ([]byte, error) {
 }
 
 func (pi *ProbeInfo) unmarshal(data []byte) error {
-	if len(data) < probeFixedLen {
-		return fmt.Errorf("packet: short probe header: %d bytes", len(data))
+	if err := checkProbeLen(len(data)); err != nil {
+		return err
 	}
 	*pi = ProbeInfo{
 		Kind:      ProbeKind(data[0]),
@@ -150,12 +150,16 @@ func (pi *ProbeInfo) unmarshal(data []byte) error {
 	return nil
 }
 
-func (pi *ProbeInfo) clone() *ProbeInfo {
-	q := *pi
-	if pi.State != nil {
-		q.State = append([]byte(nil), pi.State...)
+// checkProbeLen bounds a probe layer of n wire bytes on the way in, by what
+// marshal accepts on the way out.
+func checkProbeLen(n int) error {
+	if n < probeFixedLen {
+		return fmt.Errorf("packet: short probe header: %d bytes", n)
 	}
-	return &q
+	if n-probeFixedLen > maxStateLen {
+		return fmt.Errorf("packet: state chunk %d exceeds max %d", n-probeFixedLen, maxStateLen)
+	}
+	return nil
 }
 
 // DedupKey identifies a probe origin+sequence pair for flood duplicate

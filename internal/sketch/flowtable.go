@@ -84,27 +84,15 @@ func NewFlowTable(capacity int) *FlowTable {
 	}
 }
 
-// HashFlowKey mixes the five-tuple into a table index. Two overlapping
-// 8-byte loads cover the 13-byte key without a length-dispatched hash
-// loop; it is the index hash for the open-addressed flow structures here
-// and in the boosters. (packet.FlowKey.Hash stays the sketch-row hash —
-// changing that would move every sketch counter.)
-func HashFlowKey(k packet.FlowKey) uint64 {
-	a := uint64(k[0]) | uint64(k[1])<<8 | uint64(k[2])<<16 | uint64(k[3])<<24 |
-		uint64(k[4])<<32 | uint64(k[5])<<40 | uint64(k[6])<<48 | uint64(k[7])<<56
-	b := uint64(k[5]) | uint64(k[6])<<8 | uint64(k[7])<<16 | uint64(k[8])<<24 |
-		uint64(k[9])<<32 | uint64(k[10])<<40 | uint64(k[11])<<48 | uint64(k[12])<<56
-	h := a ^ b*0x9e3779b97f4a7c15
-	h ^= h >> 29
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 32
-	return h
-}
+// HashFlowKey is the index hash of the open-addressed flow structures here
+// and in the boosters: packet.FlowKey.TableHash, which per-packet code reads
+// precomputed from packet.Packet.Flow.
+func HashFlowKey(k packet.FlowKey) uint64 { return k.TableHash() }
 
-// findSlot returns the slot holding k, or the empty slot where k would be
-// inserted.
-func (t *FlowTable) findSlot(k packet.FlowKey) uint64 {
-	i := HashFlowKey(k) & t.mask
+// findSlot returns the slot holding k (whose table hash is h), or the empty
+// slot where k would be inserted.
+func (t *FlowTable) findSlot(k packet.FlowKey, h uint64) uint64 {
+	i := h & t.mask
 	for {
 		s := t.slots[i]
 		if s == 0 || t.nodes[s-1].state.Key == k {
@@ -117,8 +105,8 @@ func (t *FlowTable) findSlot(k packet.FlowKey) uint64 {
 // Observe updates (or inserts) the state for the packet's flow and returns
 // it. now is the virtual time of the observation.
 func (t *FlowTable) Observe(p *packet.Packet, now time.Duration) *FlowState {
-	k := p.Key()
-	i := t.findSlot(k)
+	k, h := p.Flow()
+	i := t.findSlot(k, h)
 	var n *flowNode
 	if s := t.slots[i]; s != 0 {
 		n = &t.nodes[s-1]
@@ -127,7 +115,7 @@ func (t *FlowTable) Observe(p *packet.Packet, now time.Duration) *FlowState {
 		if t.used >= t.cap {
 			t.evict()
 			// Eviction backshifts slots, so k's probe position may move.
-			i = t.findSlot(k)
+			i = t.findSlot(k, h)
 		}
 		var idx int32
 		if ln := len(t.free); ln > 0 {
@@ -163,7 +151,7 @@ func (t *FlowTable) Observe(p *packet.Packet, now time.Duration) *FlowState {
 
 // Lookup returns the state for a key without touching recency, or nil.
 func (t *FlowTable) Lookup(k packet.FlowKey) *FlowState {
-	if s := t.slots[t.findSlot(k)]; s != 0 {
+	if s := t.slots[t.findSlot(k, k.TableHash())]; s != 0 {
 		return &t.nodes[s-1].state
 	}
 	return nil
@@ -187,7 +175,7 @@ func (t *FlowTable) Range(fn func(*FlowState) bool) {
 
 // Delete removes a flow from the table.
 func (t *FlowTable) Delete(k packet.FlowKey) {
-	i := t.findSlot(k)
+	i := t.findSlot(k, k.TableHash())
 	if s := t.slots[i]; s != 0 {
 		t.remove(&t.nodes[s-1], i)
 	}
@@ -201,7 +189,7 @@ func (t *FlowTable) remove(n *flowNode, i uint64) {
 	t.used--
 	t.slots[i] = 0
 	for j := (i + 1) & t.mask; t.slots[j] != 0; j = (j + 1) & t.mask {
-		home := HashFlowKey(t.nodes[t.slots[j]-1].state.Key) & t.mask
+		home := t.nodes[t.slots[j]-1].state.Key.TableHash() & t.mask
 		// Shift the entry down iff its home slot does not sit strictly
 		// inside the (i, j] gap we just opened (cyclic comparison).
 		if (j-home)&t.mask >= (j-i)&t.mask {
@@ -231,7 +219,8 @@ func (t *FlowTable) evict() {
 	if t.tail == nil {
 		return
 	}
-	t.remove(t.tail, t.findSlot(t.tail.state.Key))
+	k := t.tail.state.Key
+	t.remove(t.tail, t.findSlot(k, k.TableHash()))
 	t.evils++
 }
 

@@ -1,6 +1,8 @@
 package sketch
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -164,4 +166,55 @@ func TestFlowTablePanicsOnZeroCapacity(t *testing.T) {
 		}
 	}()
 	NewFlowTable(0)
+}
+
+// TestFlowTableObserveMatchesRehash drives one packet stream through two
+// tables: one sees every packet afresh (a literal per observation, so the
+// key and hash are derived each time, as before Packet.Flow existed), the
+// other sees pooled packets whose memo is already set when Observe runs —
+// each observed at several "hops", recycled, and reused for other flows. The
+// tables must end up identical: same flows in the same recency order with
+// the same counters, and the same evictions. The table is small enough that
+// the stream keeps evicting.
+func TestFlowTableObserveMatchesRehash(t *testing.T) {
+	rehash, memo := NewFlowTable(32), NewFlowTable(32)
+	var pool packet.Pool
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 20000; i++ {
+		src, sport := rng.Intn(12), uint16(rng.Intn(8))
+		flags := packet.TCPFlags(rng.Intn(16))
+		now := time.Duration(i) * time.Millisecond
+
+		p := pool.Get()
+		p.Src, p.Dst, p.TTL = packet.HostAddr(src), packet.HostAddr(100), 64
+		p.Proto, p.SrcPort, p.DstPort = packet.ProtoTCP, sport, 80
+		p.Flags, p.PayloadLen = flags, 100
+		hops := 1 + rng.Intn(3)
+		for h := 0; h < hops; h++ {
+			rehash.Observe(tcpPkt(src, 100, sport, flags, 100), now)
+			if h == 1 {
+				q := pool.Clone(p) // a copy carries the memo with it
+				memo.Observe(q, now)
+				pool.Put(q)
+				continue
+			}
+			memo.Observe(p, now)
+		}
+		pool.Put(p)
+	}
+	if rehash.Evictions() == 0 {
+		t.Fatal("vacuous: the stream never evicted")
+	}
+	if rehash.Evictions() != memo.Evictions() || rehash.Len() != memo.Len() {
+		t.Fatalf("evictions %d vs %d, flows %d vs %d", rehash.Evictions(), memo.Evictions(), rehash.Len(), memo.Len())
+	}
+	var want, got []FlowState
+	rehash.Range(func(s *FlowState) bool { want = append(want, *s); return true })
+	memo.Range(func(s *FlowState) bool { got = append(got, *s); return true })
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("tables diverged:\n rehash %+v\n memo   %+v", want, got)
+	}
+	if pool.News > 2 {
+		t.Fatalf("pool allocated %d packets; the memo path was not exercising reuse", pool.News)
+	}
 }

@@ -118,7 +118,9 @@ func NewReassembler(cfg FECConfig) *Reassembler {
 	}
 }
 
-// Add folds in one received chunk. Duplicates are ignored.
+// Add folds in one received chunk. Duplicates are ignored. The chunk's
+// bytes are copied: pi and pi.State belong to the packet that carried them,
+// which is recycled when its pipeline pass ends (packet.Pool).
 func (r *Reassembler) Add(pi *packet.ProbeInfo) {
 	if pi.Kind != packet.ProbeState {
 		return
@@ -128,12 +130,12 @@ func (r *Reassembler) Add(pi *packet.ProbeInfo) {
 	}
 	if pi.FECParity {
 		if _, ok := r.parity[pi.ChunkIdx]; !ok {
-			r.parity[pi.ChunkIdx] = pi.State
+			r.parity[pi.ChunkIdx] = append([]byte(nil), pi.State...)
 		}
 		return
 	}
 	if _, ok := r.chunks[pi.ChunkIdx]; !ok {
-		r.chunks[pi.ChunkIdx] = pi.State
+		r.chunks[pi.ChunkIdx] = append([]byte(nil), pi.State...)
 	}
 }
 
