@@ -66,7 +66,7 @@ func TestFigure3TripleReuseGolden(t *testing.T) {
 		// construction, not reset-vs-first-reset.
 		g := tripleGolden{Seeds: seeds}
 		for _, s := range seeds {
-			g.Runs = append(g.Runs, fig3GoldenOf(warmFig3(s, 0, nil)))
+			g.Runs = append(g.Runs, fig3GoldenOf(warmFig3(s, 1, nil)))
 		}
 		writeGolden(t, "fig3_reset_triple_golden.json", g)
 		return
@@ -76,7 +76,7 @@ func TestFigure3TripleReuseGolden(t *testing.T) {
 
 	cache := NewFabricCache(0)
 	for i, s := range seeds {
-		got := fig3GoldenOf(warmFig3(s, 0, cache))
+		got := fig3GoldenOf(warmFig3(s, 1, cache))
 		t.Run(fmt.Sprintf("seed=%d", s), func(t *testing.T) {
 			compareFig3Golden(t, got, want.Runs[i])
 		})
