@@ -95,8 +95,8 @@ func currentStats(results []experiment.RunResult) (minWall, meanAlloc map[string
 // allocated bytes per run; allocation is reproducible for a fixed
 // configuration, so its default margin (10%) only absorbs Go-version and
 // map-layout jitter — but runs under a different engine configuration
-// than the baseline (e.g. sharded vs serial, which legitimately carries
-// per-shard pools) pass a looser -aregress.
+// than the baseline (e.g. a different -shards, which legitimately carries
+// per-partition pools) pass a looser -aregress.
 func compareBaseline(path string, thresholdPct, allocThresholdPct float64,
 	defs []experiment.Def, results []experiment.RunResult) (regressed bool, err error) {
 	data, err := os.ReadFile(path)

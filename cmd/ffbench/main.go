@@ -20,7 +20,7 @@
 //	ffbench -seeds 5            # run seeded experiments over seeds 1..5
 //	ffbench -json               # write BENCH_ffbench.json
 //	ffbench -short              # cut-down horizons (CI smoke)
-//	ffbench -shards 4           # sharded engine for fig3x, fig3f, a6 (0 = serial)
+//	ffbench -shards 4           # engine worker count (default 1; results identical)
 //	ffbench -check              # exit 1 if shape checks fail
 //	ffbench -compare BENCH_ffbench.json   # exit 1 on wall-time or alloc regression
 //	ffbench -cpuprofile cpu.pb.gz         # pprof CPU profile of the whole run
@@ -113,7 +113,7 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	traceOut := flag.String("trace", "", "write a runtime execution trace to this file")
-	shards := flag.Int("shards", 0, "sharded-engine worker count for fig3x, fig3f and a6 (0 = serial engine)")
+	shards := flag.Int("shards", 1, "engine worker count for the Figure-3 family (fig3, fig3x, fig3f, a6); results are identical for every value")
 	flag.Parse()
 
 	stopProfiles, err := startProfiles(*cpuprofile, *traceOut)

@@ -13,7 +13,7 @@
 //	ffserved -addr 127.0.0.1:9090
 //	ffserved -workers 16 -queue 256
 //	ffserved -timeout 5m         # per-job wall-clock ceiling
-//	ffserved -shards 4           # sharded engine for registry fig3x, fig3f, a6
+//	ffserved -shards 4           # engine worker count for registry runs (default 1)
 //	ffserved -pool 64            # idle warm-fabric pool entries
 //	ffserved -drain-grace 60s    # shutdown grace on SIGTERM/SIGINT
 //
@@ -41,7 +41,7 @@ func main() {
 	workers := flag.Int("workers", 8, "concurrent job slots")
 	queue := flag.Int("queue", 64, "queued-job bound (beyond it, 429)")
 	timeout := flag.Duration("timeout", 10*time.Minute, "per-job wall-clock ceiling")
-	shards := flag.Int("shards", 0, "sharded-engine worker count for registry fig3x, fig3f and a6 (0 = serial)")
+	shards := flag.Int("shards", 1, "engine worker count for registry fig3, fig3x, fig3f and a6; results are identical for every value")
 	pool := flag.Int("pool", 32, "idle warm-fabric pool entries")
 	maxJobs := flag.Int("max-jobs", 1024, "retained finished-job records")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "shutdown grace for in-flight jobs")

@@ -90,7 +90,7 @@ func main() {
 	// What the victim actually observes.
 	spoofedArrived := 0
 	seenTTL := map[uint8]bool{}
-	n.Host(victimHost).OnSink(func(p *packet.Packet) {
+	n.Host(victimHost).OnSink(func(_ time.Duration, p *packet.Packet) {
 		if p.Proto == packet.ProtoUDP && p.DstPort == 53 {
 			spoofedArrived++
 		}

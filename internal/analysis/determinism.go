@@ -137,7 +137,7 @@ func defaultDetConfig() detConfig {
 			"internal/netsim.(*Network).Reset",
 		},
 		exempt: map[string]bool{
-			// The windowed shard runtime: helper lifecycle, the window
+			// The shard runtime: helper lifecycle, the window
 			// barrier, and the atomic cursor workers claim shards by.
 			"internal/eventsim.(*ShardGroup).Run":       true,
 			"internal/eventsim.(*ShardGroup).start":     true,

@@ -253,7 +253,7 @@ func AblationFEC(seed int64) *Result {
 // AblationPinning (A6) compares the §4.2 pin-normal-flows policy against
 // rerouting everything, using shortened Figure-3 runs. Short halves the
 // horizon and starts the attack earlier (same policies and shape checks);
-// the output is invariant in Shards for every K >= 1.
+// the output is invariant in Shards.
 func AblationPinning(o RunOpts) *Result {
 	res := &Result{Name: "A6: pinning normal flows vs rerouting all"}
 	tb := &metrics.Table{Header: []string{"policy", "attack-window goodput", "degraded<80%"}}

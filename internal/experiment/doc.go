@@ -8,8 +8,9 @@
 // (core, attack, control, netsim, ...); nothing imports it.
 //
 // Determinism contract: this package is where the repository's concurrency
-// boundary lives. Each experiment run is a fully serial, seed-deterministic
-// simulation (same seed → byte-identical Result); the Runner fans
+// boundary lives. Each experiment run is a seed-deterministic simulation
+// (same seed → byte-identical Result, for any engine worker count); the
+// Runner fans
 // *independent* runs out across a worker pool, which is safe precisely
 // because runs share no state — every run builds its own Network, engine,
 // and RNG. ffvet's determinism analyzer allows goroutines and wall-clock

@@ -75,16 +75,9 @@ type Figure3Config struct {
 	DisableObfuscation bool
 	DisableDropper     bool
 
-	// Shards selects the simulation engine: 0 runs the serial engine,
-	// K >= 1 runs the windowed sharded engine over a K-way partition.
-	// Results are identical for every K >= 1 (see DESIGN.md).
+	// Shards is the engine's worker count (0 and 1 both mean one).
+	// Results are identical for every value (see DESIGN.md).
 	Shards int
-	// DisableBatch turns off same-instant delivery batching and
-	// StaticLookahead pins the window bound to base+minCutDelay. Both are
-	// perf knobs whose results are byte-identical to the defaults; the
-	// golden tests run every combination to prove it.
-	DisableBatch    bool
-	StaticLookahead bool
 	// Fabrics, when non-nil, lets the run check a fully built warm fabric
 	// out instead of cold-building one (and check its own fabric back in
 	// afterwards). The run resets the checked-out fabric to its seed —
@@ -238,10 +231,10 @@ func (c Figure3Config) FabricKey() string {
 	if c.substrate != nil {
 		shape = c.substrate.key
 	}
-	return fmt.Sprintf("%s/u%d.b%d.s%d/off%t.ob%t.dr%t.ra%t.k%d.nb%t.sl%t",
+	return fmt.Sprintf("%s/u%d.b%d.s%d/off%t.ob%t.dr%t.ra%t.k%d",
 		shape, c.Users, c.Bots, c.Servers, c.Defense != DefenseFastFlex,
 		c.DisableObfuscation, c.DisableDropper, c.RerouteAllOverride,
-		c.Shards, c.DisableBatch, c.StaticLookahead)
+		max(c.Shards, 1))
 }
 
 // Figure3Result extends Result with the headline numbers EXPERIMENTS.md
@@ -302,8 +295,6 @@ func Figure3(cfg Figure3Config) *Figure3Result {
 		coreCfg.Net = netsim.DefaultConfig()
 		coreCfg.Net.Seed = cfg.Seed
 		coreCfg.Net.Shards = cfg.Shards
-		coreCfg.Net.DisableBatch = cfg.DisableBatch
-		coreCfg.Net.StaticLookahead = cfg.StaticLookahead
 		coreCfg.Net.Fluid = cfg.substrate != nil
 		coreCfg.Reroute.RerouteAllOverride = cfg.RerouteAllOverride
 		var err error

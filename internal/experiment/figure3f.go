@@ -38,8 +38,8 @@ type Figure3fConfig struct {
 	// (defaults 12 / 4 / 24).
 	Users, Servers, Bots int
 	Seed                 int64
-	// Shards selects the engine (0 serial, K >= 1 windowed); results are
-	// K-invariant.
+	// Shards is the engine's worker count (0 and 1 both mean one);
+	// results are K-invariant.
 	Shards int
 	// Fabrics, when non-nil, supplies warm fabrics exactly as
 	// Figure3Config.Fabrics does: each arm checks out a built fabric under

@@ -7,11 +7,9 @@ import (
 	"time"
 )
 
-// runGoldenFig3Sharded is the windowed-engine twin of runGoldenFig3: the
-// same short FastFlex run, but on the sharded engine. Its output differs
-// from the serial golden by design (per-entity RNG streams), so it gets
-// its own golden file — one file, because every (GOMAXPROCS, shards)
-// combination must reproduce it exactly.
+// runGoldenFig3Sharded is the pinned short FastFlex Figure-3 run at a given
+// worker count. There is one golden file, because every (GOMAXPROCS,
+// shards) combination must reproduce it exactly.
 func runGoldenFig3Sharded(shards int) *Figure3Result {
 	return Figure3(Figure3Config{
 		Defense:     DefenseFastFlex,
@@ -22,8 +20,7 @@ func runGoldenFig3Sharded(shards int) *Figure3Result {
 	})
 }
 
-// TestFigure3ShardedGoldenIdentical pins the conservative parallel engine's
-// determinism claim: a Figure-3 run must be byte-identical across shard
+// TestFigure3ShardedGoldenIdentical pins the engine's determinism claim: a Figure-3 run must be byte-identical across shard
 // counts 1, 2, and 4 and across GOMAXPROCS 1 and 4 — i.e. invariant both
 // in how the event space is partitioned and in how the Go scheduler
 // interleaves the shard workers.

@@ -30,10 +30,9 @@ type RunOpts struct {
 	// experiment has one: same code paths and shape checks, much shorter
 	// simulated horizon.
 	Short bool
-	// Shards is the engine shard count for the experiments that expose it
-	// (fig3x, fig3f, a6): 0 the serial engine, K >= 1 the windowed sharded
-	// engine. Serial and sharded runs order events differently (different
-	// bytes, goldens pinned per mode); every K >= 1 gives identical bytes.
+	// Shards is the engine's worker count for the experiments that build
+	// a Figure-3 fabric (fig3, fig3x, fig3f, a6); 0 and 1 both mean one.
+	// Every value gives identical bytes.
 	Shards int
 	// Fabrics, when non-nil, is where the run may check warm fabrics out
 	// and back in. Results are byte-identical with and without it (the
@@ -48,8 +47,8 @@ type RunOpts struct {
 // most simulated work happens outside the victim region). Other front ends
 // (ffserved, the benchmark) call this to rebuild the same run without
 // duplicating these numbers, which is what keeps their results
-// byte-identical to ffbench's. The engine shard count is the caller's to
-// set (the registry passes RunOpts.Shards to fig3x only). short selects the
+// byte-identical to ffbench's. The engine worker count is the caller's to
+// set (the registry passes RunOpts.Shards). short selects the
 // cut-down CI variant: the horizon shrinks from 120 s to 30 s of simulated
 // time, long enough for the attack to land and the defense to respond so
 // the shape checks still discriminate. The second return is false when id
@@ -80,9 +79,9 @@ func Fig3Scenario(id string, seed int64, short bool) (Figure3Config, bool) {
 }
 
 // fig3Run runs the three-arm comparison of a Fig3Scenario id.
-func fig3Run(id string, o RunOpts, shards int) *Result {
+func fig3Run(id string, o RunOpts) *Result {
 	cfg, _ := Fig3Scenario(id, o.Seed, o.Short)
-	cfg.Shards, cfg.Fabrics = shards, o.Fabrics
+	cfg.Shards, cfg.Fabrics = o.Shards, o.Fabrics
 	return Figure3Compare(cfg)
 }
 
@@ -107,9 +106,9 @@ func Registry() []Def {
 		{ID: "fig2", Desc: "Figure 2: multimode progression", Run: fixed(Figure2Modes)},
 		{ID: "fig1d", Desc: "Figure 1(d): dynamic scaling at runtime", Run: fixed(Figure1dScale)},
 		{ID: "fig3", Desc: "Figure 3: FastFlex vs baseline under rolling LFA", Seeded: true, HasShort: true,
-			Run: func(o RunOpts) *Result { return fig3Run("fig3", o, 0) }},
+			Run: func(o RunOpts) *Result { return fig3Run("fig3", o) }},
 		{ID: "fig3x", Desc: "Figure 3 at ISP scale: multi-region topology (sharded engine target)", Seeded: true, HasShort: true,
-			Run: func(o RunOpts) *Result { return fig3Run("fig3x", o, o.Shards) }},
+			Run: func(o RunOpts) *Result { return fig3Run("fig3x", o) }},
 		{ID: "fig3f", Desc: "Figure 3 at planet scale: hybrid fluid/packet substrate, 10^6 modeled hosts", Seeded: true, HasShort: true,
 			Run: func(o RunOpts) *Result {
 				cfg := Figure3fConfig{Seed: o.Seed, Shards: o.Shards, Fabrics: o.Fabrics}

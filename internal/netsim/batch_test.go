@@ -36,20 +36,20 @@ func compareFingerprints(t *testing.T, label string, got, want shardFingerprint,
 	}
 }
 
-// TestBatchingDisabledIdentical pins the tentpole's byte-identity claim at
-// the netsim level: fusing same-instant delivery events into batches must
-// be invisible — the serial engine and every shard count produce exactly
-// the same counters, goodput, and per-link statistics with batching on or
-// off. Fusion only coalesces events already adjacent in pop order, so any
-// divergence here means a batch reordered observable work.
+// TestBatchingDisabledIdentical pins batching's byte-identity claim:
+// fusing same-instant delivery events into batches must be invisible —
+// every shard count produces exactly the same counters, goodput, and
+// per-link statistics with batching on or off. Fusion only coalesces
+// events already adjacent in pop order, so any divergence here means a
+// batch reordered observable work.
 func TestBatchingDisabledIdentical(t *testing.T) {
-	for _, shards := range []int{0, 1, 4} {
+	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			batched := runShardedCfg(t, shards, nil)
 			if batched.delivered == 0 {
 				t.Fatal("degenerate scenario: nothing delivered")
 			}
-			unbatched := runShardedCfg(t, shards, func(c *Config) { c.DisableBatch = true })
+			unbatched := runShardedCfg(t, shards, func(n *Network) { n.unbatched = true })
 			compareFingerprints(t, "batched vs unbatched", batched, unbatched, true)
 		})
 	}
@@ -138,7 +138,7 @@ func TestAdaptiveLookaheadConservative(t *testing.T) {
 }
 
 // TestAdaptiveLookaheadIdenticalResults runs the heavy sharded scenario
-// under the static and adaptive window bounds: results must be
+// under the static (no Bound hook) and adaptive window bounds: results must be
 // byte-identical (windows are pure synchronization points), and adaptive
 // must never pay for MORE barriers than static. On this saturated
 // workload the cut links stay busy, so the adaptive bound legitimately
@@ -146,7 +146,7 @@ func TestAdaptiveLookaheadConservative(t *testing.T) {
 // separately on a sparse workload below.
 func TestAdaptiveLookaheadIdenticalResults(t *testing.T) {
 	adaptive := runShardedCfg(t, 4, nil)
-	static := runShardedCfg(t, 4, func(c *Config) { c.StaticLookahead = true })
+	static := runShardedCfg(t, 4, func(n *Network) { n.group.Bound = nil })
 	compareFingerprints(t, "adaptive vs static lookahead", adaptive, static, false)
 	if adaptive.windows > static.windows {
 		t.Fatalf("adaptive lookahead ran MORE windows than static: %d > %d", adaptive.windows, static.windows)
@@ -182,8 +182,10 @@ func runAsymmetricCut(t *testing.T, static bool) (delivered, windows uint64) {
 	cfg := DefaultConfig()
 	cfg.Seed = 9
 	cfg.Shards = 3
-	cfg.StaticLookahead = static
 	n := New(g, cfg)
+	if static {
+		n.group.Bound = nil
+	}
 	installShortestPathRoutes(n)
 	if n.ShardOf(b) == n.ShardOf(c1) || n.ShardOf(a) != 0 || n.ShardOf(c1) != n.ShardOf(c2) {
 		t.Fatalf("partition did not split as designed: a=%d b=%d c1=%d c2=%d",

@@ -37,7 +37,7 @@ import (
 // this link's propagation delay (+1 ns, mirroring the tx >= 1 ns floor that
 // keeps packet hand-offs strictly beyond a conservative window). Updates
 // whose next hop lives in another shard ride the existing hand-off rings
-// with a nil packet, so the windowed engine's barrier protocol carries both
+// with a nil packet, so the engine's barrier protocol carries both
 // substrates identically.
 //
 // Foreground packets see fluid queues as load: admission shares the byte
@@ -102,7 +102,7 @@ type fluidLink struct {
 
 	// emptyEv is the pending queue-empty boundary event; emptyFn is its
 	// preallocated callback. rank mints merge ranks for boundary events and
-	// downstream rate updates (windowed mode).
+	// downstream rate updates.
 	emptyEv *eventsim.Event
 	emptyFn func()
 	rank    eventsim.RankOwner
@@ -119,8 +119,8 @@ type fluidLink struct {
 }
 
 // eng returns the engine whose clock governs this link: the owning shard's
-// engine (the coordinator engine in serial mode). At barriers every engine
-// agrees on the time, so coordinator-context callers may use it too.
+// engine. At barriers every engine agrees on the time, so
+// coordinator-context callers may use it too.
 func (fl *fluidLink) eng() *eventsim.Engine { return fl.ls.sh.eng }
 
 // fluidFor returns (creating on first use) the fluid state of a link.
@@ -191,7 +191,7 @@ func (n *Network) NewFluidFlowPath(path []topo.LinkID, rateBps float64, hosts in
 
 // Start applies the configured rate at the first hop. Like packet sources,
 // call it from coordinator context: setup code before Run, or a callback
-// scheduled on n.Eng (which executes at a barrier in windowed mode).
+// scheduled on n.Eng (which executes at a barrier).
 func (f *FluidFlow) Start() {
 	if f.started {
 		return
@@ -436,10 +436,6 @@ func (fl *fluidLink) sendUpdate(now time.Duration, f *FluidFlow, hop int, rate f
 	target := f.path[hop]
 	ci := f.ci[hop]
 	at := now + time.Duration(fl.ls.link.DelayNS) + 1
-	if !n.windowed {
-		n.Eng.Schedule(at, func() { n.applyFluidRate(target, ci, rate) })
-		return
-	}
 	rank := fl.rank.Next()
 	dst := int(n.shardOf[n.G.Links[target].From])
 	if dst == fl.ls.sh.idx {
@@ -449,12 +445,9 @@ func (fl *fluidLink) sendUpdate(now time.Duration, f *FluidFlow, hop int, rate f
 	fl.ls.sh.out[dst].push(handoff{at: at, rank: rank, link: target, fci: int32(ci), frate: rate})
 }
 
-// schedule places a callback on the link's engine, ranked in windowed mode.
+// schedule places a callback on the link's engine at its next merge rank.
 func (fl *fluidLink) schedule(at time.Duration, fn func()) *eventsim.Event {
-	if fl.ls.net.windowed {
-		return fl.ls.sh.eng.ScheduleRank(at, fl.rank.Next(), fn)
-	}
-	return fl.ls.net.Eng.Schedule(at, fn)
+	return fl.ls.sh.eng.ScheduleRank(at, fl.rank.Next(), fn)
 }
 
 // queueEmpty is the boundary event at the analytically computed drain time:

@@ -74,8 +74,8 @@ func fluidConservationRun(t *testing.T, shards int) (inj, del, drop float64) {
 }
 
 // TestFluidConservationAcrossShards: bytes injected == delivered + dropped
-// (+ zero in-flight after drain) at the horizon, for the serial engine and
-// for every supported shard count — and the totals agree across partitions.
+// (+ zero in-flight after drain) at the horizon, for every shard count —
+// and the totals agree across partitions.
 func TestFluidConservationAcrossShards(t *testing.T) {
 	type result struct{ inj, del, drop float64 }
 	var base result

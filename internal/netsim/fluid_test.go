@@ -191,11 +191,7 @@ func TestFluidPacketSeesLoad(t *testing.T) {
 			n.Eng.Schedule(4*time.Millisecond, func() { f.SetRate(90e6) })
 		}
 		var at time.Duration
-		n.Tracer = func(now time.Duration, node topo.NodeID, pkt *packet.Packet) {
-			if node == h1 {
-				at = now
-			}
-		}
+		n.Host(h1).OnSink(func(now time.Duration, _ *packet.Packet) { at = now })
 		n.Eng.Schedule(5*time.Millisecond, func() {
 			p := n.NewPacket()
 			p.Src, p.Dst, p.TTL = packet.HostAddr(int(h0)), packet.HostAddr(int(h1)), 64

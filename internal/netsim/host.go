@@ -33,7 +33,7 @@ type Host struct {
 	// ackHandlers receive TCP ACK packets, keyed by local port.
 	ackHandlers map[uint16]func(*packet.Packet)
 	// sink, if set, observes every delivered packet.
-	sink func(*packet.Packet)
+	sink func(now time.Duration, p *packet.Packet)
 }
 
 func newHost(n *Network, node topo.NodeID) *Host {
@@ -129,12 +129,15 @@ func (h *Host) OnICMP(fn func(*packet.Packet)) (cancel func()) {
 	return func() { delete(h.icmpHandlers, id) }
 }
 
-// OnSink registers an observer for every delivered packet.
-func (h *Host) OnSink(fn func(*packet.Packet)) { h.sink = fn }
+// OnSink registers an observer for every delivered packet. It runs inside
+// the host's partition, and now is that partition's clock: the delivery
+// instant, which Network.Now (the coordinator clock) can trail by up to a
+// window. Packets seen by a sink are not recycled, so it may retain them.
+func (h *Host) OnSink(fn func(now time.Duration, p *packet.Packet)) { h.sink = fn }
 
 func (h *Host) receive(p *packet.Packet, in topo.LinkID) {
 	if h.sink != nil {
-		h.sink(p)
+		h.sink(h.net.shardAt(h.node).eng.Now(), p)
 	}
 	switch p.Proto {
 	case packet.ProtoICMP:

@@ -47,7 +47,7 @@ func checkLinkLedger(t *testing.T, n *Network, label string) (onLinks int) {
 
 // TestLinkLedger runs the Figure-3 short shape (Figure-2 topology, 8 AIMD
 // users, 40 bots flooding from one third of the run on, injected loss on a
-// critical link) on the serial and the 2-shard engine, and a fluid-coupled
+// critical link) on one and two workers, and a fluid-coupled
 // multi-region run, and balances the ledger at a mid-run barrier — queues
 // full, packets on every link — and at the horizon.
 func TestLinkLedger(t *testing.T) {
@@ -62,7 +62,7 @@ func TestLinkLedger(t *testing.T) {
 				label, midRun, n.DropsQueue(), n.DropsLoss())
 		}
 	}
-	for _, shards := range []int{0, 2} {
+	for _, shards := range []int{1, 2} {
 		label := fmt.Sprintf("fig3-short shards=%d", shards)
 		t.Run(label, func(t *testing.T) {
 			f := topo.NewFigure2()
@@ -86,7 +86,7 @@ func TestLinkLedger(t *testing.T) {
 			audit(t, label, n)
 		})
 	}
-	for _, shards := range []int{0, 2} {
+	for _, shards := range []int{1, 2} {
 		label := fmt.Sprintf("fluid-coupled shards=%d", shards)
 		t.Run(label, func(t *testing.T) {
 			m := topo.NewMultiRegion(3, 5)

@@ -104,12 +104,11 @@ type linkState struct {
 	sh       *shardState
 	dstShard int
 	cross    bool
-	// rank mints this link's merge ranks (windowed mode): one per admitted
-	// packet, local or cross-shard, so the stream is identical however the
-	// topology is partitioned.
+	// rank mints this link's merge ranks: one per admitted packet, local
+	// or cross-shard, so the stream is identical however the topology is
+	// partitioned.
 	rank eventsim.RankOwner
-	// rng is the per-link loss stream (windowed mode only, created on
-	// first SetLinkLoss; serial mode draws from the engine RNG).
+	// rng is the per-link loss stream, created on first SetLinkLoss.
 	rng *rand.Rand
 
 	// deliver is the link's preallocated delivery callback, so per-packet
@@ -132,7 +131,7 @@ func newLinkState(n *Network, l topo.Link) *linkState {
 	ls := &linkState{net: n, link: l, smoothedUtil: sketch.NewEWMA(n.Cfg.UtilAlpha)}
 	ls.sh = n.shards[n.shardOf[l.From]]
 	ls.dstShard = int(n.shardOf[l.To])
-	ls.cross = n.windowed && ls.sh.idx != ls.dstShard
+	ls.cross = ls.sh.idx != ls.dstShard
 	if ls.cross && ls.sh.out[ls.dstShard] == nil {
 		ls.sh.out[ls.dstShard] = newHandoffRing()
 	}
@@ -187,17 +186,9 @@ func (ls *linkState) drop(counter *uint64, pkt *packet.Packet) {
 func (ls *linkState) enqueue(pkt *packet.Packet) {
 	sh := ls.sh
 	sh.offered++
-	if ls.lossRate > 0 {
-		var draw float64
-		if ls.net.windowed {
-			draw = ls.rng.Float64()
-		} else {
-			draw = ls.net.Eng.RNG().Float64()
-		}
-		if draw < ls.lossRate {
-			ls.drop(&sh.dropsLoss, pkt)
-			return
-		}
+	if ls.lossRate > 0 && ls.rng.Float64() < ls.lossRate {
+		ls.drop(&sh.dropsLoss, pkt)
+		return
 	}
 	now := sh.eng.Now()
 	ls.drain(now)

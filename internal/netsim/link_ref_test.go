@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"fastflex/internal/eventsim"
 	"fastflex/internal/packet"
 	"fastflex/internal/topo"
 )
@@ -221,11 +222,17 @@ func TestLinkMatchesEventedReference(t *testing.T) {
 	)
 	for _, loss := range []float64{0, 0.1} {
 		for _, seed := range []int64{1, 2, 3} {
+			g := topo.NewGraph()
+			sw := g.AddNode(topo.Switch, "s")
+			h := g.AttachHost(sw, "h", bps, topo.DefaultHostDelay)
+			lid := g.LinkBetween(sw, h)
 			window := DefaultConfig().UtilWindow
 			newRef := func(script []linkArrival) *refLink {
+				// The link draws loss from its own stream; the reference
+				// replays the same one.
 				l := &refLink{
 					bps: bps, prop: time.Duration(topo.DefaultHostDelay), capBytes: capBytes,
-					window: window, loss: loss, rng: rand.New(rand.NewSource(seed)),
+					window: window, loss: loss, rng: eventsim.NewStream(seed, uint64(len(g.Nodes))+uint64(lid)),
 					deliveredAt: map[uint32]time.Duration{}, lost: map[uint32]bool{}, tail: map[uint32]bool{},
 				}
 				for i, a := range script {
@@ -268,17 +275,13 @@ func TestLinkMatchesEventedReference(t *testing.T) {
 			}
 
 			ref := newRef(script)
-			g := topo.NewGraph()
-			sw := g.AddNode(topo.Switch, "s")
-			h := g.AttachHost(sw, "h", bps, topo.DefaultHostDelay)
 			cfg := DefaultConfig()
 			cfg.QueueBytes = capBytes
 			cfg.Seed = seed
 			n := New(g, cfg)
-			lid := g.LinkBetween(sw, h)
 			n.SetLinkLoss(lid, loss)
 			got := map[uint32]time.Duration{}
-			n.Host(h).OnSink(func(p *packet.Packet) { got[p.Seq] = n.Now() })
+			n.Host(h).OnSink(func(now time.Duration, p *packet.Packet) { got[p.Seq] = now })
 			for i, a := range script {
 				pkt := a.packet(uint32(i))
 				n.Eng.Schedule(a.at, func() { n.Enqueue(lid, pkt) })

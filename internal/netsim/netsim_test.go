@@ -58,7 +58,7 @@ func TestDeliverySingleHop(t *testing.T) {
 func TestDeliveryLatency(t *testing.T) {
 	n, h0, h1 := twoHostLine(t)
 	var deliveredAt time.Duration
-	n.Host(h1).OnSink(func(*packet.Packet) { deliveredAt = n.Now() })
+	n.Host(h1).OnSink(func(now time.Duration, _ *packet.Packet) { deliveredAt = now })
 	p := &packet.Packet{Src: packet.HostAddr(int(h0)), Dst: packet.HostAddr(int(h1)),
 		TTL: 64, Proto: packet.ProtoUDP, PayloadLen: 1000}
 	n.SendFromHost(h0, p)
@@ -147,7 +147,7 @@ func TestCBRSourceRate(t *testing.T) {
 func TestCBRTCPSendsSYNFirst(t *testing.T) {
 	n, h0, h1 := twoHostLine(t)
 	var first *packet.Packet
-	n.Host(h1).OnSink(func(p *packet.Packet) {
+	n.Host(h1).OnSink(func(_ time.Duration, p *packet.Packet) {
 		if first == nil {
 			first = p
 		}

@@ -23,28 +23,13 @@ type Config struct {
 	UtilAlpha float64
 	// Seed seeds the simulation RNG.
 	Seed int64
-	// Shards selects the engine. Zero runs the original serial engine
-	// (byte-compatible with all pre-sharding results). Any value >= 1
-	// runs the windowed engine on that many worker goroutines (1 runs
-	// inline, with none); how finely the graph is cut for them to share
-	// is the engine's decision (topo.Refine). Results are identical for
-	// every value >= 1, but differ from the serial engine because RNG
-	// draws come from per-entity streams instead of one shared engine
-	// RNG.
+	// Shards is how many worker goroutines run the partition engines
+	// (0 and 1 both mean one, run inline with no goroutine); how finely
+	// the graph is cut for them to share is the engine's decision
+	// (topo.Refine). Results are identical for every value: same-instant
+	// events merge by per-entity rank and every random draw comes from a
+	// per-entity stream.
 	Shards int
-	// DisableBatch turns off same-instant delivery fusion, forcing one
-	// event-loop round trip per packet. Results are byte-identical either
-	// way (fusion only coalesces events already adjacent in pop order);
-	// the knob exists so tests can prove that and benchmarks can measure
-	// the difference. Batching also self-disables while a Tracer is
-	// attached, keeping the per-arrival hook exact.
-	DisableBatch bool
-	// StaticLookahead forces windowed runs back to the fixed
-	// min-cut-delay window width instead of the adaptive per-barrier
-	// bound computed from quiescent cut links. Results are byte-identical
-	// either way (windows are pure synchronization points); the knob
-	// exists for A/B measurement of barrier counts.
-	StaticLookahead bool
 	// Fluid enables the flow-level background-traffic substrate
 	// (fluid.go): aggregate flows become rate-based state on links,
 	// advanced analytically between events, while packets stay exact and
@@ -68,9 +53,8 @@ func DefaultConfig() Config {
 // Network is a running simulation instance.
 type Network struct {
 	// Eng is the coordinator engine: control-timescale work (tickers,
-	// samplers, controllers, experiment scripting) runs here. In serial
-	// mode it is also the (only) simulation engine; in windowed mode it
-	// executes at barriers while the shard engines are parked, so its
+	// samplers, controllers, experiment scripting) runs here. It executes
+	// at barriers while the partition engines are parked, so its
 	// callbacks may touch any shard's state.
 	Eng *eventsim.Engine
 	G   *topo.Graph
@@ -84,18 +68,15 @@ type Network struct {
 	hosts    []*Host
 	links    []*linkState
 
-	// Sharding state. Serial mode is one shardState wrapping Eng, so the
-	// hot path is identical in both modes; windowed mode partitions the
-	// topology and gives every shard its own engine, pools, and counters.
-	windowed bool
-	shards   []*shardState
-	shardOf  []int32 // NodeID -> shard index
-	group    *eventsim.ShardGroup
-	part     *topo.Shards
+	// Sharding state: the topology is partitioned and every shard has its
+	// own engine, pools, and counters.
+	shards  []*shardState
+	shardOf []int32 // NodeID -> shard index
+	group   *eventsim.ShardGroup
+	part    *topo.Shards
 
-	// Windowed-mode determinism state: per-switch RNG streams, so pipeline
-	// randomness is a pure function of per-entity history
-	// (partition-invariant).
+	// Per-switch RNG streams, so pipeline randomness is a pure function of
+	// per-entity history (partition-invariant).
 	swRNG []*rand.Rand
 	// nextOwnerKey mints merge-rank keys for traffic sources; node and
 	// link keys are fixed, so source keys start above both ranges.
@@ -110,11 +91,9 @@ type Network struct {
 	// coordinator sequence slot a fresh build would give it).
 	utilTicker *eventsim.Ticker
 
-	// Tracer, if set, observes every packet arrival at a node (debugging
-	// and assertion hooks in tests). Attaching a tracer disables packet
-	// recycling so traced packets may be retained. Tracing is serial-only:
-	// windowed runs would invoke it concurrently from shard goroutines.
-	Tracer func(now time.Duration, at topo.NodeID, pkt *packet.Packet)
+	// unbatched turns off same-instant delivery fusion, so tests can prove
+	// fusion invisible (batch_test.go).
+	unbatched bool
 }
 
 // New builds a network over g. Every switch node gets a dataplane switch
@@ -183,48 +162,37 @@ func newOn(g *topo.Graph, cfg Config, part *topo.Shards) *Network {
 	return n
 }
 
-// setupShards builds the shard runtime: one shardState in serial mode,
-// or a partition with per-partition engines, hand-off rings, per-switch RNG
-// streams, and a window scheduler with cfg.Shards workers in windowed mode.
-// All mutable state is per partition, never per worker: which worker ran a
-// partition in which window must be unobservable.
+// setupShards builds the shard runtime: a partition with per-partition
+// engines, hand-off rings, per-switch RNG streams, and a window scheduler
+// with max(cfg.Shards, 1) workers. All mutable state is per partition,
+// never per worker: which worker ran a partition in which window must be
+// unobservable.
 func (n *Network) setupShards(cfg Config, part *topo.Shards) {
 	g := n.G
-	n.windowed = cfg.Shards >= 1
+	workers := max(cfg.Shards, 1)
+	if part == nil {
+		part = topo.Refine(g, workers)
+	}
+	n.part = part
+	k := n.part.K
 	n.shardOf = make([]int32, len(g.Nodes))
-	k := 1
-	if n.windowed {
-		if part == nil {
-			part = topo.Refine(g, cfg.Shards)
-		}
-		n.part = part
-		k = n.part.K
-		for i, s := range n.part.Of {
-			n.shardOf[i] = int32(s)
-		}
+	for i, s := range n.part.Of {
+		n.shardOf[i] = int32(s)
 	}
 	n.shards = make([]*shardState, k)
 	for i := range n.shards {
-		sh := &shardState{n: n, idx: i, eng: n.Eng}
-		if n.windowed {
-			// Shard engines never draw from their own RNG (per-entity
-			// streams replace it), but distinct seeds keep any future
-			// misuse from aliasing across shards.
-			sh.eng = eventsim.New(cfg.Seed + int64(i) + 1)
-			sh.eng.RequireRank()
-		}
+		// Shard engines never draw from their own RNG (per-entity streams
+		// replace it), but distinct seeds keep any future misuse from
+		// aliasing across shards.
+		sh := &shardState{n: n, idx: i, eng: eventsim.New(cfg.Seed + int64(i) + 1)}
+		sh.eng.RequireRank()
 		sh.batchDone = sh.makeBatchDone()
-		n.shards[i] = sh
-	}
-	n.nextOwnerKey = uint64(len(g.Nodes)) + uint64(len(g.Links))
-	if !n.windowed {
-		return
-	}
-	for _, sh := range n.shards {
 		// Rings appear with the cut links that use them (newLinkState):
 		// a fine partition has many pairs and few neighbours.
 		sh.out = make([]*handoffRing, k)
+		n.shards[i] = sh
 	}
+	n.nextOwnerKey = uint64(len(g.Nodes)) + uint64(len(g.Links))
 	n.swRNG = make([]*rand.Rand, len(g.Nodes))
 	for _, node := range g.Nodes {
 		if node.Kind == topo.Switch {
@@ -245,11 +213,11 @@ func (n *Network) setupShards(cfg Config, part *topo.Shards) {
 	n.group = &eventsim.ShardGroup{
 		Coord:     n.Eng,
 		Shards:    engines,
-		Workers:   cfg.Shards,
+		Workers:   workers,
 		Lookahead: lookahead,
 		Exchange:  n.exchange,
 	}
-	if !cfg.StaticLookahead && len(n.part.CutLinks) > 0 {
+	if len(n.part.CutLinks) > 0 {
 		n.group.Bound = n.adaptiveBound
 	}
 }
@@ -352,23 +320,16 @@ func (n *Network) Router(id topo.NodeID) *dataplane.Router {
 	return r
 }
 
-// Run advances the simulation to the given horizon: serially on the
-// coordinator engine, or in parallel conservative windows when sharded.
+// Run advances the simulation to the given horizon in conservative
+// windows over the partition engines.
 func (n *Network) Run(horizon time.Duration) {
-	if n.windowed {
-		if n.Tracer != nil {
-			panic("netsim: Tracer is serial-only; windowed runs would invoke it from shard goroutines")
-		}
-		// Setup code runs in coordinator context outside any barrier, so
-		// hand-offs it emitted (cross-cut traffic injection, fluid rate
-		// programs) are still sitting in the rings, invisible to the
-		// window-bound computation. Drain them into their destination
-		// engines first — the main goroutine owns every engine here.
-		n.exchange()
-		n.group.Run(horizon)
-		return
-	}
-	n.Eng.Run(horizon)
+	// Setup code runs in coordinator context outside any barrier, so
+	// hand-offs it emitted (cross-cut traffic injection, fluid rate
+	// programs) are still sitting in the rings, invisible to the
+	// window-bound computation. Drain them into their destination engines
+	// first — the main goroutine owns every engine here.
+	n.exchange()
+	n.group.Run(horizon)
 }
 
 // Delivered returns the number of packets delivered to hosts.
@@ -443,10 +404,8 @@ func (n *Network) LinkLedger() (offered, arrived uint64) {
 // dividing it by wall time gives the engine's events/sec throughput.
 func (n *Network) EventsFired() uint64 {
 	t := n.Eng.Fired()
-	if n.windowed {
-		for _, sh := range n.shards {
-			t += sh.eng.Fired()
-		}
+	for _, sh := range n.shards {
+		t += sh.eng.Fired()
 	}
 	return t
 }
@@ -463,7 +422,10 @@ func (n *Network) PacketsProcessed() uint64 {
 	return t
 }
 
-// Now returns the current virtual time.
+// Now returns the coordinator clock: the virtual time of the current
+// barrier, or of the coordinator event being executed. Code running inside
+// a partition (pipelines, sinks, sources) can be up to one window ahead of
+// it and reads its own engine's clock instead.
 func (n *Network) Now() time.Duration { return n.Eng.Now() }
 
 // LinkLoad returns the smoothed utilization (0..1+) of a link.
@@ -489,12 +451,12 @@ func (n *Network) QueueDepth(l topo.LinkID) int {
 
 // SetLinkLoss injects random loss on a directed link (fault injection for
 // FEC and fault-tolerance experiments). p is the per-packet drop
-// probability in [0,1]. Windowed runs draw loss from a per-link stream so
-// the draw sequence depends only on the link's own traffic.
+// probability in [0,1]. Loss is drawn from a per-link stream so the draw
+// sequence depends only on the link's own traffic.
 func (n *Network) SetLinkLoss(l topo.LinkID, p float64) {
 	ls := n.links[l]
 	ls.lossRate = p
-	if n.windowed && p > 0 && ls.rng == nil {
+	if p > 0 && ls.rng == nil {
 		ls.rng = eventsim.NewStream(n.Cfg.Seed, uint64(len(n.G.Nodes))+uint64(l))
 	}
 }
@@ -535,13 +497,13 @@ const classDeliver = 1
 // It pops that packet and then fuses every delivery event queued at the
 // same instant directly behind it in the engine (they would be popped next
 // anyway, in exactly this order), amortizing the event-loop round trip and
-// the per-switch pipeline entry over the run. With batching disabled — by
-// config, or implicitly by an attached Tracer — or when no same-instant
-// delivery is pending, it reduces to the plain one-packet arrival.
+// the per-switch pipeline entry over the run. With batching disabled, or
+// when no same-instant delivery is pending, it reduces to the plain
+// one-packet arrival.
 //
 //ffvet:hotpath
 func (n *Network) deliverRun(ls *linkState) {
-	if n.Cfg.DisableBatch || n.Tracer != nil {
+	if n.unbatched {
 		n.arrive(ls.link.ID, ls.inflight.pop())
 		return
 	}
@@ -568,7 +530,7 @@ func (n *Network) deliverRun(ls *linkState) {
 // drainBatch plays a fused run of arrivals in pop order: hosts receive
 // singly, and maximal spans of consecutive packets bound for the same
 // switch run through the batched pipeline entry. Per-packet side effects
-// (counters, emissions, forwarding) happen in exactly the order the serial
+// (counters, emissions, forwarding) happen in exactly the order the unfused
 // event loop would produce, so fusion is invisible to every observer.
 //
 //ffvet:hotpath
@@ -611,11 +573,7 @@ func (n *Network) processSwitchRun(sh *shardState, id topo.NodeID, lo, hi int) {
 	ctx.Now = sh.eng.Now()
 	ctx.Switch = id
 	ctx.Pool = &sh.pool
-	if n.windowed {
-		ctx.RNG = n.swRNG[id]
-	} else {
-		ctx.RNG = n.Eng.RNG()
-	}
+	ctx.RNG = n.swRNG[id]
 	sh.batchCtx = ctx
 	sh.batchSwitch = id
 	sw.ProcessBatch(ctx, &sh.batch, lo, hi, sh.batchDone)
@@ -629,9 +587,6 @@ func (n *Network) arrive(l topo.LinkID, pkt *packet.Packet) {
 	to := n.G.Links[l].To
 	sh := n.shards[n.shardOf[to]]
 	sh.arrived++
-	if n.Tracer != nil {
-		n.Tracer(sh.eng.Now(), to, pkt)
-	}
 	if host := n.hosts[to]; host != nil {
 		sh.delivered++
 		host.receive(pkt, l)
@@ -672,13 +627,9 @@ func (n *Network) processAtSwitch(id topo.NodeID, pkt *packet.Packet, in topo.Li
 	ctx.InLink = in
 	ctx.Pkt = pkt
 	ctx.Pool = &sh.pool
-	if n.windowed {
-		// Per-switch stream: pipeline randomness depends only on this
-		// switch's packet history, never on the partition.
-		ctx.RNG = n.swRNG[id]
-	} else {
-		ctx.RNG = n.Eng.RNG()
-	}
+	// Per-switch stream: pipeline randomness depends only on this switch's
+	// packet history, never on the partition.
+	ctx.RNG = n.swRNG[id]
 	ctx.Modes = sw.Modes()
 	ctx.OutLink = -1
 	verdict := sw.Process(ctx)

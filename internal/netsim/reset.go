@@ -30,18 +30,14 @@ func (n *Network) Reset(seed int64) {
 	n.Cfg.Seed = seed
 	n.Eng.Reset(seed)
 	for i, sh := range n.shards {
-		if n.windowed {
-			// Mirrors setupShards: shard engines get distinct derived seeds
-			// even though per-entity streams mean they never draw.
-			sh.eng.Reset(seed + int64(i) + 1)
-		}
+		// Mirrors setupShards: shard engines get distinct derived seeds even
+		// though per-entity streams mean they never draw.
+		sh.eng.Reset(seed + int64(i) + 1)
 		sh.reset()
 	}
-	if n.windowed {
-		for _, node := range n.G.Nodes {
-			if node.Kind == topo.Switch {
-				n.swRNG[node.ID].Seed(eventsim.StreamSeed(seed, uint64(node.ID)))
-			}
+	for _, node := range n.G.Nodes {
+		if node.Kind == topo.Switch {
+			n.swRNG[node.ID].Seed(eventsim.StreamSeed(seed, uint64(node.ID)))
 		}
 	}
 	n.nextOwnerKey = uint64(len(n.G.Nodes)) + uint64(len(n.G.Links))
@@ -54,10 +50,7 @@ func (n *Network) Reset(seed int64) {
 		}
 	}
 	n.fluidFlows = nil
-	n.Tracer = nil
-	if n.group != nil {
-		n.group.Windows = 0
-	}
+	n.group.Windows = 0
 	// Re-arm surviving tickers in build order: the util ticker was the
 	// first event New scheduled on the coordinator, so it must be the
 	// first event Reset schedules (it takes engine sequence number 0,

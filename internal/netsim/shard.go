@@ -15,7 +15,6 @@ import (
 // state: an engine, the hot-path pools, and the drop/delivery counters.
 // Everything here is touched only by the shard's goroutine during a
 // window, or by the main goroutine at a barrier — never both at once.
-// A serial Network is exactly one shardState whose engine is n.Eng.
 type shardState struct {
 	n   *Network
 	idx int
@@ -34,7 +33,7 @@ type shardState struct {
 	batchDone   func(k int, v dataplane.Verdict)
 
 	// out[d] carries hand-offs to shard d; nil where no link crosses from
-	// this shard into d, and in serial mode.
+	// this shard into d.
 	out []*handoffRing
 
 	// Drop/delivery accounting. Global totals are sums over shards, read
@@ -51,21 +50,17 @@ type shardState struct {
 	arrived uint64
 }
 
-// after schedules fn on the shard's engine: ranked in windowed mode (merge
-// order must not depend on the partition), plain in serial mode (byte-
-// compatible with the pre-sharding event order).
+// after schedules fn on the shard's engine at the owner's next merge rank,
+// so merge order never depends on the partition.
 func (sh *shardState) after(d time.Duration, o *eventsim.RankOwner, fn func()) *eventsim.Event {
-	if sh.n.windowed {
-		return sh.eng.AfterRank(d, o.Next(), fn)
-	}
-	return sh.eng.After(d, fn)
+	return sh.eng.AfterRank(d, o.Next(), fn)
 }
 
 // makeBatchDone builds the shard's per-packet batch epilogue: the exact
 // tail of processAtSwitch (emission dispatch, verdict accounting, the
 // egress enqueue), applied to batch entry k. ProcessBatch calls it
 // after each packet's pipeline pass and before the next packet's, so side
-// effects land in serial order.
+// effects land in unfused order.
 func (sh *shardState) makeBatchDone() func(int, dataplane.Verdict) {
 	n := sh.n
 	return func(k int, v dataplane.Verdict) {
@@ -108,14 +103,8 @@ func (sh *shardState) makeBatchDone() func(int, dataplane.Verdict) {
 	}
 }
 
-// freePacket recycles a packet into this shard's pool (recycling is off
-// while a Tracer is attached, since trace hooks may retain packets).
-func (sh *shardState) freePacket(p *packet.Packet) {
-	if sh.n.Tracer != nil {
-		return
-	}
-	sh.pool.Put(p)
-}
+// freePacket recycles a packet into this shard's pool.
+func (sh *shardState) freePacket(p *packet.Packet) { sh.pool.Put(p) }
 
 // getCtx returns a reset pipeline context from the shard's pool.
 func (sh *shardState) getCtx() *dataplane.Context {
@@ -285,27 +274,15 @@ func (n *Network) newRankOwner() eventsim.RankOwner {
 	return eventsim.NewRankOwner(k)
 }
 
-// Shards returns the number of shards (1 in serial mode).
+// Shards returns the number of partitions the graph was cut into.
 func (n *Network) Shards() int { return len(n.shards) }
 
-// Windowed reports whether the network runs the windowed parallel engine.
-func (n *Network) Windowed() bool { return n.windowed }
-
-// Lookahead returns the conservative window width (0 in serial mode).
-func (n *Network) Lookahead() time.Duration {
-	if n.group == nil {
-		return 0
-	}
-	return n.group.Lookahead
-}
+// Lookahead returns the conservative window width (0 when no link crosses
+// a partition cut).
+func (n *Network) Lookahead() time.Duration { return n.group.Lookahead }
 
 // Windows returns the number of barrier windows executed so far.
-func (n *Network) Windows() uint64 {
-	if n.group == nil {
-		return 0
-	}
-	return n.group.Windows
-}
+func (n *Network) Windows() uint64 { return n.group.Windows }
 
-// ShardOf returns the shard index owning a node (0 in serial mode).
+// ShardOf returns the shard index owning a node.
 func (n *Network) ShardOf(id topo.NodeID) int { return int(n.shardOf[id]) }

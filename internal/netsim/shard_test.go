@@ -10,7 +10,7 @@ import (
 )
 
 // shardFingerprint captures every observable outcome of a run that the
-// windowed engine promises to keep partition-invariant.
+// engine promises to keep partition-invariant.
 type shardFingerprint struct {
 	delivered, noRoute, queue, pipeline, down, loss uint64
 	ackedBytes                                      []uint64
@@ -35,9 +35,10 @@ func runSharded(t *testing.T, shards int) shardFingerprint {
 	return runShardedCfg(t, shards, nil)
 }
 
-// runShardedCfg is runSharded with a config hook, so tests can toggle
-// batching and lookahead knobs over the identical scenario.
-func runShardedCfg(t *testing.T, shards int, mutate func(*Config)) shardFingerprint {
+// runShardedCfg is runSharded with a hook on the built network, so tests
+// can switch batching or the adaptive lookahead off over the identical
+// scenario.
+func runShardedCfg(t *testing.T, shards int, mutate func(*Network)) shardFingerprint {
 	t.Helper()
 	return runShardedOn(t, shards, 0, mutate)
 }
@@ -45,7 +46,7 @@ func runShardedCfg(t *testing.T, shards int, mutate func(*Config)) shardFingerpr
 // runShardedOn is runShardedCfg over a parts-way topo.Partition instead of
 // the engine's own choice (parts = 0), so tests can hold the worker count
 // and vary only how finely the graph is cut.
-func runShardedOn(t *testing.T, shards, parts int, mutate func(*Config)) shardFingerprint {
+func runShardedOn(t *testing.T, shards, parts int, mutate func(*Network)) shardFingerprint {
 	t.Helper()
 	m := topo.NewMultiRegion(3, 5)
 	users := m.AttachUsers(6)
@@ -56,14 +57,14 @@ func runShardedOn(t *testing.T, shards, parts int, mutate func(*Config)) shardFi
 	cfg := DefaultConfig()
 	cfg.Seed = 11
 	cfg.Shards = shards
-	if mutate != nil {
-		mutate(&cfg)
-	}
 	var part *topo.Shards
 	if parts > 0 {
 		part = topo.Partition(g, parts)
 	}
 	n := newOn(g, cfg, part)
+	if mutate != nil {
+		mutate(n)
+	}
 	installShortestPathRoutes(n)
 
 	var aimds []*AIMDSource
@@ -244,22 +245,6 @@ func TestWindowedCrossShardTraffic(t *testing.T) {
 		t.Fatal("no packets crossed the shard boundary")
 	}
 	if n.Windows() == 0 {
-		t.Fatal("windowed run executed no barrier windows")
+		t.Fatal("sharded run executed no barrier windows")
 	}
-}
-
-// TestSerialModeUnchanged pins that Shards=0 still runs on the coordinator
-// engine with one shard slice (the pre-sharding serial path).
-func TestSerialModeUnchanged(t *testing.T) {
-	g := topo.NewLinear(2)
-	h0 := g.AttachHost(0, "a", 1e9, 1000)
-	g.AttachHost(1, "b", 1e9, 1000)
-	n := New(g, DefaultConfig())
-	if n.Windowed() || n.Shards() != 1 || n.Windows() != 0 {
-		t.Fatalf("serial mode misconfigured: windowed=%v shards=%d", n.Windowed(), n.Shards())
-	}
-	if n.shards[0].eng != n.Eng {
-		t.Fatal("serial shard must wrap the coordinator engine")
-	}
-	_ = h0
 }

@@ -23,7 +23,7 @@ type CBRSource struct {
 	rateBps float64
 
 	// sh is the host's shard: the send timer lives on its engine, and
-	// rank mints the timer's merge ranks in windowed mode.
+	// rank mints the timer's merge ranks.
 	sh   *shardState
 	rank eventsim.RankOwner
 
@@ -138,7 +138,7 @@ type AIMDSource struct {
 	payload uint16
 
 	// sh is the host's shard: RTO timers live on its engine, and rank
-	// mints their merge ranks in windowed mode.
+	// mints their merge ranks.
 	sh   *shardState
 	rank eventsim.RankOwner
 

@@ -94,7 +94,6 @@ func TestNewKeepsCallerConfig(t *testing.T) {
 		name string
 		a, b Config
 	}{
-		{"serial", Config{Seed: 7}, Config{Seed: 8}},
 		{"sharded", Config{Seed: 7, Shards: 2}, Config{Seed: 8, Shards: 2}},
 		{"partial", Config{Seed: 7, QueueBytes: 1 << 20}, Config{Seed: 8, UtilAlpha: 0.5}},
 	} {

@@ -29,8 +29,8 @@ type Config struct {
 	// MaxJobs bounds retained finished-job records (default 1024); the
 	// oldest finished jobs are evicted first.
 	MaxJobs int
-	// Shards is the daemon-wide sharded-engine worker count registry
-	// experiments run with (experiment.RunOpts.Shards), mirroring ffbench -shards.
+	// Shards is the daemon-wide engine worker count registry experiments
+	// run with (experiment.RunOpts.Shards), mirroring ffbench -shards.
 	// Inline scenarios carry their own.
 	Shards int
 	// Defs is the experiment registry served (default

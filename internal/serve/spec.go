@@ -66,10 +66,9 @@ type ScenarioSpec struct {
 	BaselinePeriodSec float64 `json:"baseline_period_sec,omitempty"`
 	// UserRateBps is the offered rate per normal user flow (default 5e6).
 	UserRateBps float64 `json:"user_rate_bps,omitempty"`
-	// Shards selects the simulation engine for this job: 0 the serial
-	// engine, K>=1 the windowed sharded engine on K worker goroutines.
-	// Results are identical for every K (DESIGN.md, "Sharded conservative
-	// engine").
+	// Shards is the engine's worker count for this job (0 and 1 both
+	// mean one). Results are identical for every value (DESIGN.md,
+	// "Sharded conservative engine").
 	Shards int `json:"shards,omitempty"`
 }
 
