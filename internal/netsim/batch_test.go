@@ -138,8 +138,8 @@ func TestAdaptiveLookaheadConservative(t *testing.T) {
 }
 
 // TestAdaptiveLookaheadIdenticalResults runs the heavy sharded scenario
-// under the static (no Bound hook) and adaptive window bounds: results must be
-// byte-identical (windows are pure synchronization points), and adaptive
+// under the static (no Bound hook) and adaptive window bounds: results
+// must be byte-identical (windows are pure synchronization points), and adaptive
 // must never pay for MORE barriers than static. On this saturated
 // workload the cut links stay busy, so the adaptive bound legitimately
 // collapses to the static one — the strict-improvement claim is pinned

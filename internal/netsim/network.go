@@ -21,7 +21,7 @@ type Config struct {
 	UtilWindow time.Duration
 	// UtilAlpha is the EWMA weight for the smoothed utilization.
 	UtilAlpha float64
-	// Seed seeds the simulation RNG.
+	// Seed seeds the coordinator RNG and every per-entity stream.
 	Seed int64
 	// Shards is how many worker goroutines run the partition engines
 	// (0 and 1 both mean one, run inline with no goroutine); how finely
