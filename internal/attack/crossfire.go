@@ -285,7 +285,7 @@ func (a *Crossfire) retarget(targets []HopPair) {
 	a.targets = targets
 	a.TargetHistory = append(a.TargetHistory, targets...)
 	selected := make(map[flowKey]bool)
-	perFlow := a.cfg.BotRateBps * float64(a.cfg.FlowsPerBot)
+	perFlow := float64(a.cfg.BotRateBps * float64(a.cfg.FlowsPerBot))
 	for _, p := range targets {
 		crossing := a.flowsCrossing(p)
 		// Round-robin over servers (then bots within each): the budget is

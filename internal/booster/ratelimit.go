@@ -125,7 +125,7 @@ func (g *GlobalRateLimit) rollWindow(now time.Duration) {
 			globalBytes = total
 		}
 	}
-	limitBytes := g.cfg.LimitBps / 8 * g.cfg.Window.Seconds()
+	limitBytes := float64(g.cfg.LimitBps / 8 * g.cfg.Window.Seconds())
 	if float64(globalBytes) <= limitBytes || globalBytes == 0 {
 		g.throttling = false
 		return

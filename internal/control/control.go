@@ -35,7 +35,7 @@ func BaseCost(l topo.Link) float64 {
 // the baseline defense recomputes each cycle.
 func LoadAwareCost(n *netsim.Network, alpha float64) CostFunc {
 	return func(l topo.Link) float64 {
-		return BaseCost(l) * (1 + alpha*n.LinkLoad(l.ID))
+		return BaseCost(l) * (1 + float64(alpha*n.LinkLoad(l.ID)))
 	}
 }
 
@@ -211,7 +211,7 @@ func computeSpreadRoutes(g *topo.Graph, perDstBps float64, base CostFunc) Routes
 				if fallback == nil || assignedBps[c.lid] < assignedBps[fallback.lid] {
 					fallback = &candidates[i]
 				}
-				headroom := targetUtil*g.Links[c.lid].BitsPerSec - assignedBps[c.lid]
+				headroom := float64(targetUtil*g.Links[c.lid].BitsPerSec) - assignedBps[c.lid]
 				if headroom < perDstBps {
 					continue
 				}

@@ -60,7 +60,7 @@ func aggregate(vs []float64) Agg {
 	var ss float64
 	for _, v := range vs {
 		d := v - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	sd := 0.0
 	if len(vs) > 1 {

@@ -181,7 +181,7 @@ func fig3fMeanHops(cfg Figure3fConfig) float64 {
 		size := cfg.BaseRing << uint(r%3)
 		ing := float64(size - 2)
 		flows += ing
-		hopSum += ing * float64(size/2)
+		hopSum += float64(ing * float64(size/2))
 		flows++
 		hopSum += 4 // ingress -> gateway -> core -> edge -> server side
 	}

@@ -231,14 +231,14 @@ func (f *FluidFlow) DeliveredBytes() float64 { return f.delivered }
 // InjectedBytes returns the bytes the flow has offered at its first hop up
 // to the coordinator clock.
 func (f *FluidFlow) InjectedBytes() float64 {
-	return f.injected + f.appliedRate*(f.net.Eng.Now()-f.lastSet).Seconds()
+	return f.injected + float64(f.appliedRate*(f.net.Eng.Now()-f.lastSet).Seconds())
 }
 
 // applySource integrates the injection account and applies a new source
 // rate at the first hop.
 func (f *FluidFlow) applySource(rate float64) {
 	now := f.net.Eng.Now()
-	f.injected += f.appliedRate * (now - f.lastSet).Seconds()
+	f.injected += float64(f.appliedRate * (now - f.lastSet).Seconds())
 	f.lastSet = now
 	f.appliedRate = rate
 	f.net.applyFluidRate(f.path[0], f.ci[0], rate)
@@ -271,14 +271,14 @@ func (fl *fluidLink) advance(now time.Duration) {
 	}
 	dt := (now - fl.lastAt).Seconds()
 	fl.lastAt = now
-	fl.offered += fl.in * dt
+	fl.offered += float64(fl.in * dt)
 	var served float64
 	switch {
 	case fl.in > fl.cap:
 		// Overload: serve at capacity, the excess fills the buffer and then
 		// drops. No event needed — the output rate never changes here.
 		served = fl.cap * dt
-		fl.q += (fl.in - fl.cap) * dt
+		fl.q += float64((fl.in - fl.cap) * dt)
 		if fl.q > fl.qcap {
 			fl.dropped += fl.q - fl.qcap
 			fl.q = fl.qcap
@@ -287,7 +287,7 @@ func (fl *fluidLink) advance(now time.Duration) {
 		// Draining. The queue-empty boundary event lands on a nanosecond
 		// tick, so integer-time rounding can push an advance just past the
 		// true empty point; serve the residual then and pin q at zero.
-		drain := (fl.cap - fl.in) * dt
+		drain := float64((fl.cap - fl.in) * dt)
 		if drain < fl.q {
 			served = fl.cap * dt
 			fl.q -= drain
@@ -296,7 +296,7 @@ func (fl *fluidLink) advance(now time.Duration) {
 			if fl.cap > fl.in {
 				te = fl.q / (fl.cap - fl.in)
 			}
-			served = fl.cap*te + fl.in*(dt-te)
+			served = float64(fl.cap*te) + float64(fl.in*(dt-te))
 			fl.q = 0
 		}
 	default:
@@ -310,7 +310,7 @@ func (fl *fluidLink) advance(now time.Duration) {
 		for i := range fl.contribs {
 			c := &fl.contribs[i]
 			if c.hop == len(c.flow.path)-1 {
-				c.flow.delivered += c.out * dt
+				c.flow.delivered += float64(c.out * dt)
 			}
 		}
 	}

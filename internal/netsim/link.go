@@ -274,7 +274,7 @@ func (ls *linkState) rollWindow(window time.Duration) {
 		// Runs at a barrier (the coordinator ticker), where every engine's
 		// clock agrees, so advancing here closes the window exactly.
 		fl.advance(fl.eng().Now())
-		bits += fl.windowBytes * 8
+		bits += float64(fl.windowBytes * 8)
 		fl.windowBytes = 0
 	}
 	util := 0.0

@@ -257,7 +257,7 @@ func (e *EWMA) Observe(v float64) float64 {
 	if !e.primed {
 		e.value, e.primed = v, true
 	} else {
-		e.value = e.alpha*v + (1-e.alpha)*e.value
+		e.value = float64(e.alpha*v) + float64((1-e.alpha)*e.value)
 	}
 	return e.value
 }

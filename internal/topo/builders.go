@@ -203,7 +203,7 @@ func NewWaxman(n int, alpha, beta float64, rng *rand.Rand) *Graph {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				dx, dy := xs[i]-xs[j], ys[i]-ys[j]
-				dist := dx*dx + dy*dy
+				dist := float64(dx*dx) + float64(dy*dy)
 				// L = sqrt(2) is the max distance in the unit square.
 				p := alpha * math.Exp(-math.Sqrt(dist)/(beta*math.Sqrt2))
 				if rng.Float64() < p {
