@@ -334,3 +334,30 @@ func TestModeChangePropagationLatency(t *testing.T) {
 		t.Fatal("mode register not actually set at far end")
 	}
 }
+
+func TestSoftTTLExpiry(t *testing.T) {
+	r := newRig(1, Config{Region: 1, SoftTTL: time.Second})
+	r.c.Process(ctxAt(0, modeProbe(9, 1, 3, 1, false), 5))
+	if !r.modes[3] {
+		t.Fatal("setup failed")
+	}
+	// Heartbeat-style evaluations: within TTL the mode persists.
+	r.c.Process(ctxAt(900*time.Millisecond, dataPkt(), 5))
+	if !r.modes[3] {
+		t.Fatal("mode expired before TTL")
+	}
+	// Re-assertion refreshes the lease.
+	r.c.Process(ctxAt(950*time.Millisecond, modeProbe(9, 2, 3, 1, false), 5))
+	r.c.Process(ctxAt(1800*time.Millisecond, dataPkt(), 5))
+	if !r.modes[3] {
+		t.Fatal("lease not refreshed by re-assertion")
+	}
+	// No more assertions: the lease expires.
+	r.c.Process(ctxAt(3*time.Second, dataPkt(), 5))
+	if r.modes[3] {
+		t.Fatal("mode did not expire after TTL")
+	}
+	if r.c.Expired != 1 {
+		t.Fatalf("expired counter = %d", r.c.Expired)
+	}
+}
