@@ -8,9 +8,11 @@
 //	                goroutines, channels, sync, unordered map iteration,
 //	                FP-order-sensitive reductions); offending paths print
 //	                their shortest call chain
-//	rank-ownership  ScheduleRank/AfterRank ranks derive from the owning
-//	                RankOwner; NewStream keys are not constants; shard
-//	                state is written only by its owner or at the barrier
+//	rank-ownership  only the reference benchmark calls Engine.After (the
+//	                opaque eventsim.Rank proves every other rank was
+//	                minted by a RankOwner); NewStream keys are not
+//	                constants; shard state is written only by its owner
+//	                or at the barrier
 //	hotpath         //ffvet:hotpath functions stay free of maps,
 //	                interface dispatch, and hidden allocations
 //	layering        the import DAG of DESIGN.md §2

@@ -51,8 +51,8 @@ func main() {
 
 	// 8 bots × 30 Mbps of UDP at one server from t = 5s.
 	vol := attack.NewVolumetric(fab.Net, bots, protected[0], 30e6)
-	fab.Net.Eng.Schedule(5*time.Second, vol.Start)
-	fab.Net.Eng.Schedule(20*time.Second, vol.Stop)
+	fab.Net.Eng.ScheduleRank(5*time.Second, fab.Net.Owner(netsim.SiteScript).Next(), vol.Start)
+	fab.Net.Eng.ScheduleRank(20*time.Second, fab.Net.Owner(netsim.SiteScript).Next(), vol.Stop)
 
 	report := func(at time.Duration) {
 		fab.Run(at)

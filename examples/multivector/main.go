@@ -55,7 +55,7 @@ func main() {
 	lfa.Launch()
 	// Vector 2: volumetric flood at a different server from t = 8s.
 	vol := attack.NewVolumetric(fab.Net, ddosBots, protected[7], 30e6)
-	fab.Net.Eng.Schedule(8*time.Second, vol.Start)
+	fab.Net.Eng.ScheduleRank(8*time.Second, fab.Net.Owner(netsim.SiteScript).Next(), vol.Start)
 
 	report := func(at time.Duration) {
 		fab.Run(at)

@@ -50,7 +50,7 @@ func main() {
 
 	// From 5s: the spoofer floods the victim, forging userFar's address.
 	// It is 1 hop from the victim edge; userFar is 3 — the TTLs lie.
-	n.Eng.Schedule(5*time.Second, func() {
+	n.Eng.ScheduleRank(5*time.Second, n.Owner(netsim.SiteScript).Next(), func() {
 		var seq uint32
 		var emit func()
 		emit = func() {
@@ -62,14 +62,14 @@ func main() {
 				PayloadLen: 1200, Seq: seq,
 			})
 			if n.Now() < 15*time.Second {
-				n.Eng.After(500*time.Microsecond, emit)
+				n.Eng.AfterRank(500*time.Microsecond, n.Owner(netsim.SiteScript).Next(), emit)
 			}
 		}
 		emit()
 	})
 
 	// From 5s: the compromised host leaks a secret by modulating TTLs.
-	n.Eng.Schedule(5*time.Second, func() {
+	n.Eng.ScheduleRank(5*time.Second, n.Owner(netsim.SiteScript).Next(), func() {
 		secret := []uint8{7, 1, 4, 2, 6}
 		var i uint32
 		var leak func()
@@ -81,7 +81,7 @@ func main() {
 			})
 			i++
 			if n.Now() < 15*time.Second {
-				n.Eng.After(10*time.Millisecond, leak)
+				n.Eng.AfterRank(10*time.Millisecond, n.Owner(netsim.SiteScript).Next(), leak)
 			}
 		}
 		leak()

@@ -122,7 +122,7 @@ func TestMultiVectorFlow(t *testing.T) {
 	})
 	lfa.Launch()
 	vol := attack.NewVolumetric(fab.Net, ddosBots, protected[7], 30e6)
-	fab.Net.Eng.Schedule(6*time.Second, vol.Start)
+	fab.Net.Eng.ScheduleRank(6*time.Second, fab.Net.Owner(netsim.SiteScript).Next(), vol.Start)
 
 	fab.Run(15 * time.Second)
 	m := fab.Net.Switch(f.CoreA).Modes()

@@ -294,6 +294,16 @@ func TestRankOwnershipFixtures(t *testing.T) {
 	checkFixture(t, "fastflex/internal/netsim", "rankown_ok.go", RankOwnership)
 }
 
+// TestUnmintedRankDoesNotCompile pins the type half of rank ownership: a
+// rank that no RankOwner minted is a type error, not an analyzer finding.
+func TestUnmintedRankDoesNotCompile(t *testing.T) {
+	m := loadModule(t)
+	_, err := m.CheckFixture("fastflex/internal/netsim", filepath.Join("testdata", "rankown_unminted.go"))
+	if err == nil || !strings.Contains(err.Error(), "eventsim.Rank") {
+		t.Fatalf("CheckFixture(rankown_unminted.go) = %v, want a type error naming eventsim.Rank", err)
+	}
+}
+
 func TestHotpathFixtures(t *testing.T) {
 	checkFixture(t, "fastflex/internal/dataplane", "hotpath_bad.go", Hotpath)
 	checkFixture(t, "fastflex/internal/dataplane", "hotpath_ok.go", Hotpath)

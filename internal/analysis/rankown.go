@@ -9,21 +9,16 @@ import (
 // Rank ownership.
 //
 // Deterministic cross-shard merge (DESIGN.md, "Sharded conservative
-// engine") depends on every rank fed to ScheduleRank/AfterRank being
-// minted by the owning entity's RankOwner: ranks are (owner key << 32 |
-// sequence), so two shards can never tie, and replaying the same seed
-// yields the same total order. A rank conjured from a literal, loop
-// index, or arithmetic silently re-introduces merge ties that only
-// surface as byte-drift at high shard counts.
+// engine") depends on every event's rank being minted by the scheduling
+// entity's RankOwner. The type system proves most of that: eventsim.Rank
+// is opaque, only RankOwner.Next mints one, and ScheduleRank panics on the
+// zero Rank, the one value a caller can write without an owner. This
+// analyzer checks what types cannot:
 //
-// The analyzer proves, by dataflow over package-wide assignments and
-// composite literals, that the rank argument of every
-// ScheduleRank/AfterRank call site derives from a RankOwner.Next()
-// draw. The eventsim package itself is excluded: AfterRank forwards its
-// rank parameter to ScheduleRank by design.
-//
-// Two companion checks ride along:
-//
+//   - Engine.After ranks by the engine's own owner, which is meant for a
+//     bare engine with no entities; every simulation event is ranked by
+//     its scheduling entity's owner, so only the reference benchmark,
+//     which times the calendar on a bare engine, may call After;
 //   - NewStream keys must not be constants: per-entity RNG streams
 //     collide when two entities share a literal key;
 //   - shard state may only be written by its owning shard: writes that
@@ -42,23 +37,24 @@ var rankOwnBarrier = map[string]bool{
 	"internal/netsim.(*Network).exchange":    true,
 }
 
-// RankOwnership checks rank derivation, stream-key uniqueness, and
-// shard-write confinement across all below-boundary packages.
+// afterCallers are the packages allowed to call Engine.After.
+var afterCallers = map[string]bool{"fastflex/bench": true}
+
+// RankOwnership checks Engine.After use, stream-key uniqueness, and
+// shard-write confinement.
 func RankOwnership(p *Pass) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range p.Pkgs {
 		rel := modRelPath(pkg)
-		if aboveBoundary(rel) || rel == rngPackage {
+		if rel == rngPackage {
 			continue
 		}
-		rw := newRankWrites(pkg)
+		below := !aboveBoundary(rel)
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
+				if call, ok := n.(*ast.CallExpr); ok {
+					checkRankCall(p, pkg, below, call, &diags)
 				}
-				checkRankCall(p, pkg, rw, call, &diags)
 				return true
 			})
 		}
@@ -68,9 +64,9 @@ func RankOwnership(p *Pass) []Diagnostic {
 	return diags
 }
 
-// checkRankCall inspects one call site for the rank-derivation and
-// stream-key rules.
-func checkRankCall(p *Pass, pkg *Package, rw *rankWrites, call *ast.CallExpr, diags *[]Diagnostic) {
+// checkRankCall inspects one call site for the After and stream-key
+// rules; the stream-key rule applies below the concurrency boundary only.
+func checkRankCall(p *Pass, pkg *Package, below bool, call *ast.CallExpr, diags *[]Diagnostic) {
 	obj := calleeFunc(pkg, call)
 	if obj == nil || obj.Pkg() == nil ||
 		!strings.HasSuffix(obj.Pkg().Path(), rngPackage) {
@@ -87,15 +83,12 @@ func checkRankCall(p *Pass, pkg *Package, rw *rankWrites, call *ast.CallExpr, di
 		})
 	}
 	switch obj.Name() {
-	case "ScheduleRank", "AfterRank":
-		if len(call.Args) < 2 {
-			return
-		}
-		if !rw.derived(call.Args[1], 0, make(map[types.Object]bool)) {
-			report(obj.Name() + " rank argument does not derive from a RankOwner.Next() draw: ranks minted outside the owner break the deterministic cross-shard merge")
+	case "After":
+		if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil && !afterCallers[pkg.Path] {
+			report("Engine.After ranks by the engine's own owner, which only a bare engine may use: schedule with AfterRank and the scheduling entity's RankOwner")
 		}
 	case "NewStream":
-		if len(call.Args) < 2 {
+		if !below || len(call.Args) < 2 {
 			return
 		}
 		if tv, ok := pkg.Info.Types[call.Args[1]]; ok && tv.Value != nil {
@@ -121,185 +114,6 @@ func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
 		return obj
 	}
 	return nil
-}
-
-// rankWrites indexes, package-wide, every expression written into each
-// variable or struct field, so rank derivation can be traced through
-// locals ("dlR := ls.rank.Next()") and through fields ("handoff{rank:
-// dlR}" read later as "h.rank" in another function).
-type rankWrites struct {
-	pkg    *Package
-	byObj  map[types.Object][]ast.Expr
-	opaque map[types.Object]bool // written in a form we cannot trace
-}
-
-func newRankWrites(pkg *Package) *rankWrites {
-	rw := &rankWrites{
-		pkg:    pkg,
-		byObj:  make(map[types.Object][]ast.Expr),
-		opaque: make(map[types.Object]bool),
-	}
-	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch node := n.(type) {
-			case *ast.AssignStmt:
-				rw.recordAssign(node)
-			case *ast.ValueSpec:
-				rw.recordSpec(node)
-			case *ast.CompositeLit:
-				rw.recordComposite(node)
-			case *ast.IncDecStmt:
-				rw.markOpaque(node.X)
-			case *ast.RangeStmt:
-				rw.markOpaque(node.Key)
-				rw.markOpaque(node.Value)
-			}
-			return true
-		})
-	}
-	return rw
-}
-
-func (rw *rankWrites) objectOf(e ast.Expr) types.Object {
-	switch x := unparen(e).(type) {
-	case *ast.Ident:
-		if obj := rw.pkg.Info.Uses[x]; obj != nil {
-			return obj
-		}
-		return rw.pkg.Info.Defs[x]
-	case *ast.SelectorExpr:
-		return rw.pkg.Info.Uses[x.Sel]
-	}
-	return nil
-}
-
-func (rw *rankWrites) record(lhs ast.Expr, rhs ast.Expr) {
-	obj := rw.objectOf(lhs)
-	if obj == nil {
-		return
-	}
-	if rhs == nil {
-		rw.opaque[obj] = true
-		return
-	}
-	rw.byObj[obj] = append(rw.byObj[obj], rhs)
-}
-
-func (rw *rankWrites) markOpaque(e ast.Expr) {
-	if e == nil {
-		return
-	}
-	if obj := rw.objectOf(e); obj != nil {
-		rw.opaque[obj] = true
-	}
-}
-
-func (rw *rankWrites) recordAssign(as *ast.AssignStmt) {
-	if len(as.Lhs) == len(as.Rhs) {
-		for i := range as.Lhs {
-			rw.record(as.Lhs[i], as.Rhs[i])
-		}
-		return
-	}
-	// Tuple assignment (multi-return): untraceable, mark opaque.
-	for _, lhs := range as.Lhs {
-		rw.markOpaque(lhs)
-	}
-}
-
-func (rw *rankWrites) recordSpec(spec *ast.ValueSpec) {
-	if len(spec.Values) != len(spec.Names) {
-		return // zero-value declaration writes nothing
-	}
-	for i, name := range spec.Names {
-		rw.record(name, spec.Values[i])
-	}
-}
-
-// recordComposite records struct-literal field writes, keyed and
-// positional.
-func (rw *rankWrites) recordComposite(lit *ast.CompositeLit) {
-	tv, ok := rw.pkg.Info.Types[lit]
-	if !ok {
-		return
-	}
-	st, ok := tv.Type.Underlying().(*types.Struct)
-	if !ok {
-		return
-	}
-	for i, elt := range lit.Elts {
-		if kv, ok := elt.(*ast.KeyValueExpr); ok {
-			if key, ok := kv.Key.(*ast.Ident); ok {
-				if obj := rw.pkg.Info.Uses[key]; obj != nil {
-					rw.byObj[obj] = append(rw.byObj[obj], kv.Value)
-				}
-			}
-			continue
-		}
-		if i < st.NumFields() {
-			rw.byObj[st.Field(i)] = append(rw.byObj[st.Field(i)], elt)
-		}
-	}
-}
-
-// derived reports whether e provably derives from RankOwner.Next():
-// either it IS a Next() draw, or it reads a variable/field whose every
-// traced write derives.
-func (rw *rankWrites) derived(e ast.Expr, depth int, seen map[types.Object]bool) bool {
-	if depth > 8 {
-		return false
-	}
-	switch x := unparen(e).(type) {
-	case *ast.CallExpr:
-		return isNextDraw(rw.pkg, x)
-	case *ast.Ident, *ast.SelectorExpr:
-		obj := rw.objectOf(x)
-		if obj == nil || rw.opaque[obj] {
-			return false
-		}
-		if seen[obj] {
-			// A cycle among traced writes: every entry into the cycle
-			// was a derived write, so the fixpoint is derived.
-			return true
-		}
-		seen[obj] = true
-		writes := rw.byObj[obj]
-		if len(writes) == 0 {
-			return false
-		}
-		for _, w := range writes {
-			if !rw.derived(w, depth+1, seen) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// isNextDraw reports whether the call is RankOwner.Next() from eventsim.
-func isNextDraw(pkg *Package, call *ast.CallExpr) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	s, ok := pkg.Info.Selections[sel]
-	if !ok || s.Kind() != types.MethodVal {
-		return false
-	}
-	m, ok := s.Obj().(*types.Func)
-	if !ok || m.Name() != "Next" || m.Pkg() == nil {
-		return false
-	}
-	if !strings.HasSuffix(m.Pkg().Path(), rngPackage) {
-		return false
-	}
-	recv := s.Recv()
-	if p, ok := recv.(*types.Pointer); ok {
-		recv = p.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	return ok && named.Obj().Name() == "RankOwner"
 }
 
 // checkShardWrites walks every below-boundary function body (closures

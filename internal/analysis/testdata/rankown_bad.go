@@ -4,9 +4,10 @@ import (
 	"fastflex/internal/eventsim"
 )
 
-// Rank-ownership fixture, positive cases: ranks minted from literals or
-// loop indexes, a constant stream key, and a cross-shard write outside
-// the barrier functions.
+// Rank-ownership fixture, positive cases: an event ranked by the
+// engine's own owner (After), a constant stream key, and a cross-shard
+// write outside the barrier functions. A rank conjured from a literal or
+// a loop index does not compile (rankown_unminted.go).
 
 type shardState struct {
 	eng       *eventsim.Engine
@@ -18,14 +19,8 @@ type Network struct {
 	shardOf []int
 }
 
-func (n *Network) mintLiteral(fn func()) {
-	n.shards[0].eng.ScheduleRank(0, 42, fn) // want rank-ownership "rank argument does not derive from a RankOwner"
-}
-
-func (n *Network) mintFromLoop(fn func()) {
-	for i := range n.shards {
-		n.shards[i].eng.AfterRank(0, uint64(i), fn) // want rank-ownership "rank argument does not derive from a RankOwner"
-	}
+func (n *Network) engineOwned(fn func()) {
+	n.shards[n.shardOf[0]].eng.After(0, fn) // want rank-ownership "Engine.After ranks by the engine's own owner"
 }
 
 func constKeyStream(seed int64) {

@@ -4,12 +4,12 @@ import (
 	"fastflex/internal/eventsim"
 )
 
-// Rank-ownership fixture, negative cases: every rank below traces back
-// to a RankOwner.Next() draw — directly, through a local, or through a
-// struct field written in another function (the handoff pattern) — the
-// stream key derives from an entity identity, and shard writes happen
-// either in the allowlisted barrier function or through the
-// shard-ownership map. Nothing here may be flagged.
+// Rank-ownership fixture, negative cases: ranks travel from a
+// RankOwner.Next() draw directly, through a local, or through a struct
+// field written in another function (the handoff pattern); the stream key
+// derives from an entity identity; and shard writes happen either in the
+// allowlisted barrier function or through the shard-ownership map.
+// Nothing here may be flagged.
 
 type shardState struct {
 	eng *eventsim.Engine
@@ -23,7 +23,7 @@ type Network struct {
 }
 
 type handoff struct {
-	rank uint64
+	rank eventsim.Rank
 }
 
 func (n *Network) direct(fn func()) {

@@ -107,7 +107,7 @@ func TestCrossfireRollsOnRouteChange(t *testing.T) {
 		}
 		return base
 	})
-	rig.n.Eng.Schedule(2500*time.Millisecond, func() { control.Install(rig.n, rerouted) })
+	rig.n.Eng.ScheduleRank(2500*time.Millisecond, rig.n.Owner(netsim.SiteScript).Next(), func() { control.Install(rig.n, rerouted) })
 	rig.n.Run(6 * time.Second)
 	if a.ChangesSeen == 0 {
 		t.Fatal("attacker never saw the route change")

@@ -120,11 +120,12 @@ func (a *Crossfire) Launch() {
 	if delay < 0 {
 		delay = 0
 	}
-	a.net.Eng.After(delay, func() {
+	own := a.net.Owner(netsim.SiteAttack)
+	a.net.Eng.AfterRank(delay, own.Next(), func() {
 		a.scout(func() {
 			a.retarget(a.pickTargets(nil))
 			if a.cfg.Rolling {
-				a.ticker = eventsim.NewTicker(a.net.Eng, a.cfg.ScoutEvery, a.scoutRound)
+				a.ticker = eventsim.NewTicker(a.net.Eng, own, a.cfg.ScoutEvery, a.scoutRound)
 			}
 		})
 	})

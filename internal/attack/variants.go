@@ -81,7 +81,7 @@ func (p *Pulsing) schedule() {
 	if !p.on {
 		d = p.offFor
 	}
-	p.net.Eng.After(d, func() {
+	p.net.Eng.AfterRank(d, p.net.Owner(netsim.SitePulse).Next(), func() {
 		if p.stopped {
 			return
 		}

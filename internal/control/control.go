@@ -382,9 +382,9 @@ func (c *TEController) Start() {
 	if c.ticker != nil {
 		return
 	}
-	c.ticker = eventsim.NewTicker(c.net.Eng, c.cfg.Period, func() {
+	c.ticker = eventsim.NewTicker(c.net.Eng, c.net.Owner(netsim.SiteTE), c.cfg.Period, func() {
 		routes := ComputeReactiveRoutes(c.net, c.cfg.PerDstDemandBps, c.cfg.FloodThreshold)
-		c.net.Eng.After(c.cfg.ControlLatency, func() {
+		c.net.Eng.AfterRank(c.cfg.ControlLatency, c.net.Owner(netsim.SiteInstall).Next(), func() {
 			Install(c.net, routes)
 			c.Reconfigs++
 			if c.OnReconfig != nil {

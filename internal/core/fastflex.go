@@ -79,8 +79,7 @@ type Fabric struct {
 	modeLog [][]ModeEvent
 
 	// heartbeat is the telemetry ticker New arms (nil for DefenseOff
-	// fabrics, which have none); Reset re-arms it so its event lands in
-	// the same coordinator sequence slot a fresh build would give it.
+	// fabrics, which have none); Reset re-arms it.
 	heartbeat *eventsim.Ticker
 	// buildEpochs snapshots each switch's install epoch (in G.Switches()
 	// order) when New finishes. Reset refuses fabrics whose program sets
@@ -186,7 +185,7 @@ func New(g *topo.Graph, cfg Config) (*Fabric, error) {
 	// so time-gated PPM logic (detector epochs, alarm clears) advances
 	// even on switches that momentarily carry no traffic. This models the
 	// switch-local timers real hardware drives register evaluation with.
-	f.heartbeat = eventsim.NewTicker(n.Eng, 100*time.Millisecond, func() {
+	f.heartbeat = eventsim.NewTicker(n.Eng, n.Owner(netsim.SiteHeartbeat), 100*time.Millisecond, func() {
 		for _, sw := range g.Switches() {
 			hb := n.PoolAt(sw).GetProbe()
 			hb.Src, hb.Dst, hb.TTL = packet.RouterAddr(int(sw)), packet.RouterAddr(int(sw)), 2

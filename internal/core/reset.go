@@ -47,9 +47,9 @@ func (f *Fabric) fibsClean() bool {
 //
 // The contract, pinned by experiment's reset-vs-fresh goldens: running a
 // reset fabric produces byte-identical results to running a freshly built
-// fabric with the same configuration and seed, because Reset replays New's
-// event-creation order (utilization ticker first, heartbeat second) against
-// rewound engine sequence counters, RNG streams, and rank owners.
+// fabric with the same configuration and seed, because every event is
+// ranked by its owner's key and every owner and RNG stream is rewound, so
+// the order the surviving tickers are re-armed in does not matter.
 //
 // Reset fails — mutating nothing — on fabrics whose installed program set
 // changed since build (a ScaleOut repurpose, a manual Install/Uninstall):
@@ -75,9 +75,6 @@ func (f *Fabric) Reset(seed int64) error {
 	}
 	f.Net.Reset(seed)
 	f.Cfg.Net.Seed = seed
-	// Replay New's post-netsim setup in build order. None of these schedule
-	// events, so the heartbeat re-arm below lands on coordinator sequence
-	// number 1, right after the utilization ticker — exactly as in New.
 	f.TE.ResetRun()
 	if !fibClean {
 		// A reactive TE cycle rewrote routes mid-run: tear the FIBs down

@@ -8,23 +8,24 @@ import (
 // TestScheduleSteadyStateZeroAlloc pins the hot-path guarantee the Engine's
 // free list exists for: once the heap backing array has grown and fired
 // events populate the recycle list (Engine.alloc / Engine.release), a
-// Schedule+Step cycle allocates nothing. A regression here usually means an
+// ScheduleRank+Step cycle allocates nothing. A regression here usually means an
 // Event escaped recycling or the heap went back to interface-based storage.
 func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	eng := New(1)
+	o := NewRankOwner(1)
 	fn := func() {}
 	// Warm-up: grow the heap and seed the free list.
 	for i := 0; i < 128; i++ {
-		eng.After(time.Duration(i)*time.Microsecond, fn)
+		eng.AfterRank(time.Duration(i)*time.Microsecond, o.Next(), fn)
 	}
 	for eng.Step() {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		eng.After(time.Microsecond, fn)
+		eng.AfterRank(time.Microsecond, o.Next(), fn)
 		eng.Step()
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Schedule+Step allocates %.2f objects/op, want 0", allocs)
+		t.Fatalf("steady-state ScheduleRank+Step allocates %.2f objects/op, want 0", allocs)
 	}
 }
 
@@ -33,9 +34,10 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 // and must keep observing that event, not a recycled stranger.
 func TestCancelledEventsNotRecycled(t *testing.T) {
 	eng := New(1)
-	ev := eng.After(time.Millisecond, func() {})
+	o := NewRankOwner(1)
+	ev := eng.AfterRank(time.Millisecond, o.Next(), func() {})
 	eng.Cancel(ev)
-	ev2 := eng.After(time.Millisecond, func() {})
+	ev2 := eng.AfterRank(time.Millisecond, o.Next(), func() {})
 	if ev == ev2 {
 		t.Fatal("cancelled event was recycled; stale handles would alias new events")
 	}
@@ -53,26 +55,27 @@ func TestCancelledEventsNotRecycled(t *testing.T) {
 // fires.
 func TestDroppedEventsRecycled(t *testing.T) {
 	eng := New(1)
+	o := NewRankOwner(1)
 	fired := 0
 	count := func() { fired++ }
 	// Park the near/far split so that 1 µs is near and 1 s is far.
-	eng.After(time.Microsecond, count)
+	eng.AfterRank(time.Microsecond, o.Next(), count)
 	eng.Step()
 
-	near := eng.After(time.Microsecond, count)
+	near := eng.AfterRank(time.Microsecond, o.Next(), count)
 	eng.Drop(near)
-	if again := eng.After(time.Microsecond, count); again != near {
+	if again := eng.AfterRank(time.Microsecond, o.Next(), count); again != near {
 		t.Fatal("a near-tier event was not recycled by Drop")
 	}
 
-	far := eng.After(time.Second, count)
+	far := eng.AfterRank(time.Second, o.Next(), count)
 	eng.Drop(far)
 	eng.Drop(nil)
 	if eng.Pending() != 1 {
 		t.Fatalf("Pending() = %d after dropping the far event, want 1", eng.Pending())
 	}
 	var self *Event
-	self = eng.After(2*time.Second, func() { count(); eng.Drop(self) })
+	self = eng.AfterRank(2*time.Second, o.Next(), func() { count(); eng.Drop(self) })
 	for eng.Step() {
 	}
 	if fired != 3 {
@@ -100,12 +103,13 @@ func TestDroppedEventsRecycled(t *testing.T) {
 // garbage.
 func TestArmDropSteadyStateZeroAlloc(t *testing.T) {
 	eng := New(1)
+	o := NewRankOwner(1)
 	fn := func() {}
 	var timer *Event
 	cycle := func() {
 		eng.Drop(timer)
-		timer = eng.After(100*time.Millisecond, fn)
-		eng.After(time.Microsecond, fn)
+		timer = eng.AfterRank(100*time.Millisecond, o.Next(), fn)
+		eng.AfterRank(time.Microsecond, o.Next(), fn)
 		eng.Step()
 	}
 	for i := 0; i < 1024; i++ {

@@ -5,11 +5,12 @@
 // state, control, attack, core, experiment) schedules its callbacks here.
 //
 // Determinism contract: the engine drives everything else in this
-// repository on a single virtual clock. All randomness flows from the
-// engine's seeded RNG — this is the only package allowed to construct a
-// rand source (enforced by ffvet's determinism analyzer) — and events
-// scheduled for the same instant fire in insertion order, so a seed fully
-// determines an execution. Engines are strictly single-threaded: one
+// repository on a single virtual clock. All randomness flows from seeded
+// sources this package constructs — the engine's RNG and the per-entity
+// NewStream generators; it is the only package allowed to construct a rand
+// source (enforced by ffvet's determinism analyzer) — and events due at the
+// same instant fire in rank order, each rank minted by the scheduling
+// entity's RankOwner, so a seed fully determines an execution. Engines are strictly single-threaded: one
 // goroutine may drive Run/Step at a time, which is what lets the
 // experiment.Runner execute many engines concurrently, one per run,
 // without any locking below the runner layer.

@@ -10,7 +10,7 @@ import (
 // Event is a callback scheduled to run at a virtual time.
 //
 // Lifecycle: the engine owns fired events. Once an event has fired, its
-// *Event may be recycled for a later Schedule/After call, so handles must
+// *Event may be recycled for a later ScheduleRank/AfterRank call, so handles must
 // only be retained for *pending* events. A holder that is done with a
 // pending event either Cancels it and may keep the handle (it goes on
 // reporting Cancelled), or Drops it — cancel-and-forget, as Ticker and the
@@ -30,7 +30,7 @@ type Event struct {
 	Class uint8
 	Key   int32
 
-	seq  uint64 // tie-breaker: insertion order for equal At
+	rank uint64 // tie-breaker for equal At: the minted Rank's value
 	next *Event // intrusive link in the calendar bucket's sorted list
 	idx  int    // bucket index, farIdx in the far tier, -1 otherwise
 	dead bool   // set by Cancel and Drop
@@ -42,8 +42,8 @@ type Event struct {
 // Cancelled reports whether the event was cancelled before firing.
 func (e *Event) Cancelled() bool { return e.dead }
 
-// evLess orders events by time, then insertion order (FIFO tie-break).
-// (At, seq) is unique per event, so this is a strict total order: the pop
+// evLess orders events by time, then rank. Owners mint each rank once, so
+// (At, rank) is unique per event and this is a strict total order: the pop
 // sequence is fully determined by the keys, independent of how the queue
 // is laid out — which is what makes the calendar queue output-identical
 // to the binary heap it replaced.
@@ -52,10 +52,10 @@ func (e *Event) Cancelled() bool { return e.dead }
 // (bits.Sub64 lowers to SBB) rather than `a.At < b.At || ...`: key
 // comparisons on event times are near coin flips, and the short-circuit
 // form costs a branch mispredict on most of them. Virtual times are
-// non-negative (Schedule panics on the past), so the uint64(At)
+// non-negative (ScheduleRank panics on the past), so the uint64(At)
 // reinterpretation preserves order.
 func evLess(a, b *Event) bool {
-	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow := bits.Sub64(a.rank, b.rank, 0)
 	_, borrow = bits.Sub64(uint64(a.At), uint64(b.At), borrow)
 	return borrow != 0
 }
@@ -105,16 +105,15 @@ type farEntry struct {
 // The event queue is split in two tiers. Events due before `split` live in
 // the calendar ring (`buckets`); later events sit unordered in `far` and
 // migrate into the ring in batches as the clock approaches them. The
-// tiering preserves the exact (At, seq) pop order — every far event is due
+// tiering preserves the exact (At, rank) pop order — every far event is due
 // no earlier than every ring event — while keeping the ring sparse and
-// making timer cancellation O(1). The hot path (Schedule/Step, executed
+// making timer cancellation O(1). The hot path (ScheduleRank/Step, executed
 // once or twice per simulated packet per hop) performs no log-factor
 // comparison work and no interface dispatch, and fired events are recycled
 // through a free list so steady-state scheduling performs no allocations
 // (pinned by TestScheduleSteadyStateZeroAlloc).
 type Engine struct {
 	now time.Duration
-	seq uint64
 
 	// Near tier: every live event with At < split, bucketed by fire time.
 	// cur/curEnd are the dequeue cursor: curEnd is the exclusive end of
@@ -145,11 +144,8 @@ type Engine struct {
 	stopped bool
 	fired   uint64
 
-	// rankOnly marks a shard engine: every event must carry an explicit
-	// merge rank (ScheduleRank/AfterRank), so the pop order is a pure
-	// function of partition-invariant keys rather than of engine-local
-	// insertion order. See RequireRank.
-	rankOnly bool
+	// own ranks the events After schedules (see there).
+	own RankOwner
 
 	// free is the recycle list for fired and dropped events. Cancelled
 	// events are deliberately *not* recycled: callers may retain their
@@ -162,19 +158,18 @@ type Engine struct {
 // New returns an engine whose RNG is seeded with seed. The same seed and the
 // same schedule of events always produce the same execution.
 func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), curEnd: bucketWidth}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), curEnd: bucketWidth, own: NewRankOwner(ownKey)}
 }
 
 // Reset returns the engine to its just-built state, reseeding the RNG, so
 // a warm engine can host a fresh run without reconstruction. The clock,
-// sequence counter, calendar ring, far buffer, and fired count all return
-// to zero; ranked mode and the event free list survive (recycled events
-// carry no state between runs). Pending events are dropped to the garbage
-// collector rather than recycled: callers may still hold their handles
-// (tickers, retransmission timers), and recycling would redirect those
-// stale handles at unrelated future events. Tickers that should survive a
-// reset must be re-armed afterwards with Rearm, in the same order they were
-// created, so the seq numbering of a reset engine replays a fresh build's.
+// calendar ring, far buffer, and fired count all return to zero; the event
+// free list survives (recycled events carry no state between runs).
+// Pending events are dropped to the garbage collector rather than recycled:
+// callers may still hold their handles (tickers, retransmission timers),
+// and recycling would redirect those stale handles at unrelated future
+// events. Tickers that should survive a reset are re-armed afterwards with
+// Rearm.
 func (e *Engine) Reset(seed int64) {
 	for b := range e.buckets {
 		e.buckets[b] = nil
@@ -193,7 +188,7 @@ func (e *Engine) Reset(seed int64) {
 	e.farLive = 0
 	e.split = 0
 	e.now = 0
-	e.seq = 0
+	e.own.Rewind()
 	e.fired = 0
 	e.stopped = false
 	e.rng.Seed(seed)
@@ -202,8 +197,10 @@ func (e *Engine) Reset(seed int64) {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// RNG returns the engine's deterministic random source. All model code must
-// draw randomness from here rather than from package-level rand.
+// RNG returns the engine's seeded random source: the coordinator's stream,
+// for control-timescale model code that runs on this engine. Entities on
+// partition engines draw from their own NewStream instead, so their draws
+// never depend on which entities share an engine.
 func (e *Engine) RNG() *rand.Rand { return e.rng }
 
 // Fired returns the number of events executed so far.
@@ -215,7 +212,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) Pending() int { return e.nearCount + e.farLive }
 
 // insertNear files ev into its calendar bucket, keeping the bucket's list
-// sorted by (At, seq). Buckets are sparse (the far tier keeps distant
+// sorted by (At, rank). Buckets are sparse (the far tier keeps distant
 // timers out of the ring), so the insertion walk is a handful of steps.
 func (e *Engine) insertNear(ev *Event) {
 	b := bucketOf(ev.At)
@@ -235,7 +232,7 @@ func (e *Engine) insertNear(ev *Event) {
 		e.tails[b] = ev
 		e.occ[b>>6] |= 1 << uint(b&63)
 	case !evLess(ev, e.tails[b]):
-		// At or after the tail — (At, seq) keys are unique, so this means
+		// At or after the tail — (At, rank) keys are unique, so this means
 		// strictly after: append. This is the near-universal case for
 		// packet traffic, which is scheduled in close to FIFO order.
 		ev.next = nil
@@ -291,7 +288,7 @@ func (e *Engine) nextOccupied(from int) int {
 // fires inside the cursor's window, every other event — later buckets
 // this lap, earlier buckets next lap, or later laps of this bucket —
 // fires at or after curEnd, and the head is the global minimum. Ties in
-// fire time land in the same bucket, where seq orders them.
+// fire time land in the same bucket, where rank orders them.
 func (e *Engine) peekMin() *Event {
 	for scanned := 0; ; {
 		if h := e.buckets[e.cur]; h != nil && h.At < e.curEnd {
@@ -429,7 +426,7 @@ func (e *Engine) sweep(ev *Event) {
 // popped slot is not nil'ed: recycled events are immortal anyway (the
 // free list never shrinks), so the stale pointer beyond len pins nothing
 // that would otherwise be collected, and skipping the store drops a write
-// barrier from every Schedule.
+// barrier from every ScheduleRank.
 func (e *Engine) alloc() *Event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -443,7 +440,7 @@ func (e *Engine) alloc() *Event {
 // comment). Every caller takes the event out of the queue first, which
 // already leaves next=nil, idx=-1, and (checked) dead=false, so only the
 // fusion tags need clearing here. Fn is deliberately left set — it is overwritten by the
-// next alloc+Schedule, and nil'ing it would cost a write-barriered store
+// next alloc+ScheduleRank, and nil'ing it would cost a write-barriered store
 // per event; the price is that a free-listed event keeps its last
 // callback alive until reuse, which is bounded by the free list size.
 func (e *Engine) release(ev *Event) {
@@ -452,10 +449,9 @@ func (e *Engine) release(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
-// pushFar files a filled-in event into the far buffer. The Schedule
-// variants branch between this and insertNear directly (rather than
-// through a shared push helper) so the hot near-tier path stays one call
-// deep.
+// pushFar files a filled-in event into the far buffer. ScheduleRank
+// branches between this and insertNear directly (rather than through a
+// shared push helper) so the hot near-tier path stays one call deep.
 func (e *Engine) pushFar(ev *Event) {
 	ev.idx = farIdx
 	e.far = append(e.far, farEntry{at: ev.At, ev: ev})
@@ -465,20 +461,23 @@ func (e *Engine) pushFar(ev *Event) {
 	}
 }
 
-// Schedule runs fn at absolute virtual time at. Scheduling in the past
-// panics: it always indicates a model bug.
-func (e *Engine) Schedule(at time.Duration, fn func()) *Event {
+// ScheduleRank runs fn at absolute virtual time at. Events due at the same
+// instant fire in rank order, lowest first; each rank comes from the
+// scheduling entity's RankOwner, so the order is a function of which
+// entity scheduled what, never of the order the calls were made in or of
+// which engine holds the entity. Scheduling in the past, or with the zero
+// Rank, panics: both always indicate a model bug.
+func (e *Engine) ScheduleRank(at time.Duration, rank Rank, fn func()) *Event {
 	if at < e.now {
 		panic(fmt.Sprintf("eventsim: schedule at %v before now %v", at, e.now))
 	}
-	if e.rankOnly {
-		panic("eventsim: plain Schedule on a ranked engine; use ScheduleRank so merge order stays partition-invariant")
+	if rank.v == 0 {
+		panic("eventsim: schedule with the zero Rank; mint ranks with RankOwner.Next")
 	}
 	ev := e.alloc()
 	ev.At = at
 	ev.Fn = fn
-	ev.seq = e.seq
-	e.seq++
+	ev.rank = rank.v
 	if at < e.split {
 		e.insertNear(ev)
 	} else {
@@ -487,48 +486,21 @@ func (e *Engine) Schedule(at time.Duration, fn func()) *Event {
 	return ev
 }
 
-// After runs fn after delay d from the current virtual time.
-func (e *Engine) After(d time.Duration, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("eventsim: negative delay %v", d))
-	}
-	return e.Schedule(e.now+d, fn)
-}
-
-// RequireRank puts the engine in ranked mode: every event must carry an
-// explicit merge rank, and plain Schedule/After panic. Shard engines run
-// ranked because their contents vary with the partition — an engine-local
-// insertion counter would order same-time events differently for
-// different shard counts, while per-entity ranks are invariant.
-func (e *Engine) RequireRank() { e.rankOnly = true }
-
-// ScheduleRank runs fn at absolute virtual time at, using rank instead of
-// the engine's insertion counter as the equal-time tie-break (lower ranks
-// fire first). Ranks must be unique per (engine, At); RankOwner derives
-// them from per-entity counters, which makes the merged event order of a
-// sharded simulation identical for any shard count.
-func (e *Engine) ScheduleRank(at time.Duration, rank uint64, fn func()) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("eventsim: schedule at %v before now %v", at, e.now))
-	}
-	ev := e.alloc()
-	ev.At = at
-	ev.Fn = fn
-	ev.seq = rank
-	if at < e.split {
-		e.insertNear(ev)
-	} else {
-		e.pushFar(ev)
-	}
-	return ev
-}
-
-// AfterRank runs fn after delay d with an explicit merge rank.
-func (e *Engine) AfterRank(d time.Duration, rank uint64, fn func()) *Event {
+// AfterRank runs fn after delay d from the current virtual time.
+func (e *Engine) AfterRank(d time.Duration, rank Rank, fn func()) *Event {
 	if d < 0 {
 		panic(fmt.Sprintf("eventsim: negative delay %v", d))
 	}
 	return e.ScheduleRank(e.now+d, rank, fn)
+}
+
+// After is AfterRank with the engine's own owner, whose key lies above
+// every key a simulation mints. It serves a bare engine that has no
+// entities, such as a calendar benchmark; simulation code ranks each event
+// by the owner of the entity that scheduled it, and ffvet's rank-ownership
+// check rejects After anywhere else in the module.
+func (e *Engine) After(d time.Duration, fn func()) *Event {
+	return e.AfterRank(d, e.own.Next(), fn)
 }
 
 // PeekAt returns the fire time of the earliest pending event without
@@ -685,11 +657,10 @@ func (e *Engine) Run(horizon time.Duration) uint64 {
 // or after now, every event at exactly now lives in bucketOf(now) (bucket
 // membership is a pure function of the fire time, and far-tier events are
 // due strictly later than every near event), and that bucket's list is
-// sorted by (At, seq). So the event removed here is precisely the one the
+// sorted by (At, rank). So the event removed here is precisely the one the
 // dispatch loop would pop next. Work the caller performs while draining
-// can only schedule events with later keys (serial seq counters and
-// per-entity merge ranks grow monotonically), so it cannot change which
-// event is adjacent. Fused events count toward Fired exactly as if they
+// can only schedule events with later keys (per-entity ranks grow
+// monotonically), so it cannot change which event is adjacent. Fused events count toward Fired exactly as if they
 // had dispatched individually.
 //
 // Events fused this way must not have retained handles: the Event is
@@ -730,6 +701,7 @@ func (e *Engine) PopAdjacent(class uint8) (key int32, ok bool) {
 // generators, and telemetry scrapes.
 type Ticker struct {
 	eng     *Engine
+	own     *RankOwner
 	period  time.Duration
 	fn      func()
 	arming  func() // preallocated re-arm closure, one per ticker
@@ -737,13 +709,13 @@ type Ticker struct {
 	stopped bool
 }
 
-// NewTicker schedules fn every period, first firing one period from now.
-// A period of zero or less panics.
-func NewTicker(eng *Engine, period time.Duration, fn func()) *Ticker {
+// NewTicker schedules fn every period, first firing one period from now,
+// each firing ranked by own. A period of zero or less panics.
+func NewTicker(eng *Engine, own *RankOwner, period time.Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic(fmt.Sprintf("eventsim: ticker period %v must be positive", period))
 	}
-	t := &Ticker{eng: eng, period: period, fn: fn}
+	t := &Ticker{eng: eng, own: own, period: period, fn: fn}
 	t.arming = func() {
 		if t.stopped {
 			return
@@ -758,7 +730,7 @@ func NewTicker(eng *Engine, period time.Duration, fn func()) *Ticker {
 }
 
 func (t *Ticker) arm() {
-	t.pending = t.eng.After(t.period, t.arming)
+	t.pending = t.eng.AfterRank(t.period, t.own.Next(), t.arming)
 }
 
 // Stop halts the ticker. Safe to call multiple times.
@@ -774,8 +746,8 @@ func (t *Ticker) Stop() {
 // pending handle is dropped without cancellation — its event vanished with
 // the queue, and cancelling through the stale handle could corrupt the
 // rebuilt ring — and a fresh first fire is scheduled one period from now,
-// consuming one seq exactly as NewTicker does. Calling Rearm on a ticker
-// whose engine was NOT just reset double-arms it; don't.
+// ranked by the ticker's own owner as in NewTicker. Calling Rearm on a
+// ticker whose engine was NOT just reset double-arms it; don't.
 func (t *Ticker) Rearm() {
 	t.pending = nil
 	t.stopped = false

@@ -1,6 +1,7 @@
 package eventsim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -8,10 +9,11 @@ import (
 
 func TestScheduleOrdering(t *testing.T) {
 	e := New(1)
+	o := NewRankOwner(1)
 	var got []int
-	e.Schedule(3*time.Millisecond, func() { got = append(got, 3) })
-	e.Schedule(1*time.Millisecond, func() { got = append(got, 1) })
-	e.Schedule(2*time.Millisecond, func() { got = append(got, 2) })
+	e.ScheduleRank(3*time.Millisecond, o.Next(), func() { got = append(got, 3) })
+	e.ScheduleRank(1*time.Millisecond, o.Next(), func() { got = append(got, 1) })
+	e.ScheduleRank(2*time.Millisecond, o.Next(), func() { got = append(got, 2) })
 	e.Run(time.Second)
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -23,10 +25,11 @@ func TestScheduleOrdering(t *testing.T) {
 
 func TestFIFOTieBreak(t *testing.T) {
 	e := New(1)
+	o := NewRankOwner(1)
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(time.Millisecond, func() { got = append(got, i) })
+		e.ScheduleRank(time.Millisecond, o.Next(), func() { got = append(got, i) })
 	}
 	e.Run(time.Second)
 	for i := range got {
@@ -36,10 +39,81 @@ func TestFIFOTieBreak(t *testing.T) {
 	}
 }
 
+// TestOwnerKeyOrder pins the tie-break between owners: same-instant events
+// fire in owner-key order whichever owner scheduled first, and each
+// owner's own events keep the order it scheduled them in.
+func TestOwnerKeyOrder(t *testing.T) {
+	for _, highFirst := range []bool{true, false} {
+		e := New(1)
+		lo, hi := NewRankOwner(3), NewRankOwner(9)
+		var got []string
+		add := func(o *RankOwner, tag string) {
+			e.ScheduleRank(time.Millisecond, o.Next(), func() { got = append(got, tag) })
+		}
+		if highFirst {
+			add(&hi, "hi0")
+			add(&hi, "hi1")
+			add(&lo, "lo0")
+			add(&lo, "lo1")
+		} else {
+			add(&lo, "lo0")
+			add(&hi, "hi0")
+			add(&lo, "lo1")
+			add(&hi, "hi1")
+		}
+		e.Run(time.Second)
+		if fmt.Sprint(got) != "[lo0 lo1 hi0 hi1]" {
+			t.Fatalf("highFirst=%v: order = %v, want [lo0 lo1 hi0 hi1]", highFirst, got)
+		}
+	}
+}
+
+// TestScheduleRankRejectsZeroRank pins that only RankOwner.Next mints a
+// rank: the zero Rank, the one value a caller can write without an owner,
+// panics instead of silently tying with a minted rank.
+func TestScheduleRankRejectsZeroRank(t *testing.T) {
+	o := NewRankOwner(0)
+	if o.Next() == (Rank{}) {
+		t.Fatal("key 0 minted the zero Rank")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ScheduleRank with the zero Rank did not panic")
+		}
+	}()
+	New(1).ScheduleRank(time.Millisecond, Rank{}, func() {})
+}
+
+// TestAfterRanksByEngineOwner pins After, the bare-engine entry point: its
+// events are ranked by the engine's own owner, so same-instant ones fire in
+// scheduling order, after any simulation owner's, and a Reset engine
+// replays them identically.
+func TestAfterRanksByEngineOwner(t *testing.T) {
+	e := New(1)
+	var got []int
+	run := func() {
+		got = got[:0]
+		sim := NewRankOwner(1<<31 + 5)
+		for i := 0; i < 3; i++ {
+			i := i
+			e.After(time.Millisecond, func() { got = append(got, i) })
+		}
+		e.ScheduleRank(time.Millisecond, sim.Next(), func() { got = append(got, -1) })
+		e.Run(time.Second)
+		if fmt.Sprint(got) != "[-1 0 1 2]" {
+			t.Fatalf("order = %v, want [-1 0 1 2]", got)
+		}
+	}
+	run()
+	e.Reset(1)
+	run()
+}
+
 func TestAfterAdvancesClock(t *testing.T) {
 	e := New(1)
+	o := NewRankOwner(1)
 	var at time.Duration
-	e.After(5*time.Millisecond, func() { at = e.Now() })
+	e.AfterRank(5*time.Millisecond, o.Next(), func() { at = e.Now() })
 	e.Run(time.Second)
 	if at != 5*time.Millisecond {
 		t.Fatalf("fired at %v, want 5ms", at)
@@ -51,10 +125,11 @@ func TestAfterAdvancesClock(t *testing.T) {
 
 func TestNestedScheduling(t *testing.T) {
 	e := New(1)
+	o := NewRankOwner(1)
 	var hits int
-	e.After(time.Millisecond, func() {
+	e.AfterRank(time.Millisecond, o.Next(), func() {
 		hits++
-		e.After(time.Millisecond, func() { hits++ })
+		e.AfterRank(time.Millisecond, o.Next(), func() { hits++ })
 	})
 	e.Run(time.Second)
 	if hits != 2 {
@@ -64,8 +139,9 @@ func TestNestedScheduling(t *testing.T) {
 
 func TestCancel(t *testing.T) {
 	e := New(1)
+	o := NewRankOwner(1)
 	fired := false
-	ev := e.After(time.Millisecond, func() { fired = true })
+	ev := e.AfterRank(time.Millisecond, o.Next(), func() { fired = true })
 	e.Cancel(ev)
 	e.Run(time.Second)
 	if fired {
@@ -81,11 +157,12 @@ func TestCancel(t *testing.T) {
 
 func TestCancelOneOfMany(t *testing.T) {
 	e := New(1)
+	o := NewRankOwner(1)
 	var got []int
 	var evs []*Event
 	for i := 0; i < 5; i++ {
 		i := i
-		evs = append(evs, e.Schedule(time.Duration(i+1)*time.Millisecond, func() { got = append(got, i) }))
+		evs = append(evs, e.ScheduleRank(time.Duration(i+1)*time.Millisecond, o.Next(), func() { got = append(got, i) }))
 	}
 	e.Cancel(evs[2])
 	e.Run(time.Second)
@@ -102,21 +179,23 @@ func TestCancelOneOfMany(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := New(1)
-	e.After(time.Millisecond, func() {
+	o := NewRankOwner(1)
+	e.AfterRank(time.Millisecond, o.Next(), func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.Schedule(0, func() {})
+		e.ScheduleRank(0, o.Next(), func() {})
 	})
 	e.Run(time.Second)
 }
 
 func TestRunHorizonLeavesFutureEvents(t *testing.T) {
 	e := New(1)
+	o := NewRankOwner(1)
 	fired := false
-	e.Schedule(2*time.Second, func() { fired = true })
+	e.ScheduleRank(2*time.Second, o.Next(), func() { fired = true })
 	e.Run(time.Second)
 	if fired {
 		t.Fatal("event beyond horizon fired")
@@ -132,9 +211,10 @@ func TestRunHorizonLeavesFutureEvents(t *testing.T) {
 
 func TestStop(t *testing.T) {
 	e := New(1)
+	o := NewRankOwner(1)
 	var hits int
-	e.After(time.Millisecond, func() { hits++; e.Stop() })
-	e.After(2*time.Millisecond, func() { hits++ })
+	e.AfterRank(time.Millisecond, o.Next(), func() { hits++; e.Stop() })
+	e.AfterRank(2*time.Millisecond, o.Next(), func() { hits++ })
 	e.Run(time.Second)
 	if hits != 1 {
 		t.Fatalf("hits = %d, want 1 (Stop should halt Run)", hits)
@@ -143,9 +223,10 @@ func TestStop(t *testing.T) {
 
 func TestTicker(t *testing.T) {
 	e := New(1)
+	o := NewRankOwner(1)
 	var times []time.Duration
-	tk := NewTicker(e, 10*time.Millisecond, func() { times = append(times, e.Now()) })
-	e.After(35*time.Millisecond, tk.Stop)
+	tk := NewTicker(e, &o, 10*time.Millisecond, func() { times = append(times, e.Now()) })
+	e.AfterRank(35*time.Millisecond, o.Next(), tk.Stop)
 	e.Run(time.Second)
 	if len(times) != 3 {
 		t.Fatalf("ticks = %d (%v), want 3", len(times), times)
@@ -160,9 +241,10 @@ func TestTicker(t *testing.T) {
 
 func TestTickerStopInsideCallback(t *testing.T) {
 	e := New(1)
+	o := NewRankOwner(1)
 	var tk *Ticker
 	hits := 0
-	tk = NewTicker(e, time.Millisecond, func() {
+	tk = NewTicker(e, &o, time.Millisecond, func() {
 		hits++
 		if hits == 2 {
 			tk.Stop()
@@ -180,16 +262,18 @@ func TestTickerZeroPeriodPanics(t *testing.T) {
 			t.Error("zero-period ticker did not panic")
 		}
 	}()
-	NewTicker(New(1), 0, func() {})
+	o := NewRankOwner(1)
+	NewTicker(New(1), &o, 0, func() {})
 }
 
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []int64 {
 		e := New(seed)
+		o := NewRankOwner(1)
 		var draws []int64
 		for i := 0; i < 20; i++ {
 			d := time.Duration(e.RNG().Intn(1000)) * time.Microsecond
-			e.After(d, func() { draws = append(draws, e.RNG().Int63()) })
+			e.AfterRank(d, o.Next(), func() { draws = append(draws, e.RNG().Int63()) })
 		}
 		e.Run(time.Second)
 		return draws
@@ -214,8 +298,9 @@ func TestDeterminism(t *testing.T) {
 
 func TestFiredCount(t *testing.T) {
 	e := New(1)
+	o := NewRankOwner(1)
 	for i := 0; i < 7; i++ {
-		e.Schedule(time.Duration(i)*time.Millisecond, func() {})
+		e.ScheduleRank(time.Duration(i)*time.Millisecond, o.Next(), func() {})
 	}
 	if n := e.Run(time.Second); n != 7 {
 		t.Fatalf("Run returned %d, want 7", n)
@@ -229,9 +314,10 @@ func TestFiredCount(t *testing.T) {
 func TestQuickEventOrder(t *testing.T) {
 	f := func(delays []uint16) bool {
 		e := New(1)
+		o := NewRankOwner(1)
 		var fired []time.Duration
 		for _, d := range delays {
-			e.Schedule(time.Duration(d)*time.Microsecond, func() { fired = append(fired, e.Now()) })
+			e.ScheduleRank(time.Duration(d)*time.Microsecond, o.Next(), func() { fired = append(fired, e.Now()) })
 		}
 		e.Run(time.Hour)
 		if len(fired) != len(delays) {

@@ -6,28 +6,46 @@ import (
 	"time"
 )
 
-// RankOwner mints merge ranks for one simulation entity (a switch, a link,
-// a traffic source). A rank packs the entity's stable key with a per-entity
-// sequence number; engines in ranked mode order same-time events by rank,
-// so the pop order depends only on which entities scheduled what, never on
-// which shard an entity happens to run in. Keys must be < 2^32 and unique
-// per network; the per-entity counter wraps at 2^32, far beyond any run.
+// Rank is an event's tie-break against the other events due at the same
+// instant on its engine: lower fires first. Only RankOwner.Next mints one,
+// and every minted rank is non-zero, so the zero Rank is not a rank and
+// ScheduleRank panics on it.
+type Rank struct{ v uint64 }
+
+// RankOwner mints the ranks of one simulation entity (a switch, a link, a
+// traffic source, a coordinator site). A rank packs the entity's stable key
+// above a per-entity sequence number, so same-instant events from two
+// entities fire in key order and those from one entity in the order it
+// scheduled them — never in an order that depends on which engine an
+// entity runs in, or on the order unrelated entities made their calls.
+// Keys must be unique per network and below ownKey; the per-entity counter
+// wraps at 2^32, far beyond any run.
 type RankOwner struct {
 	key uint64
 	n   uint64
 }
 
+// ownKey is the key of each engine's own owner (Engine.After), above every
+// key a simulation mints.
+const ownKey = 1<<32 - 2
+
 // NewRankOwner creates a rank source for the entity with the given key.
+// The key is stored one up, so no minted rank is the zero Rank.
 func NewRankOwner(key uint64) RankOwner {
-	return RankOwner{key: key << 32}
+	return RankOwner{key: (key + 1) << 32}
 }
 
-// Next returns the entity's next merge rank.
-func (o *RankOwner) Next() uint64 {
-	r := o.key | (o.n & 0xffffffff)
+// Next returns the entity's next rank.
+func (o *RankOwner) Next() Rank {
+	r := Rank{o.key | (o.n & 0xffffffff)}
 	o.n++
 	return r
 }
+
+// Rewind restarts the owner's sequence, as for a freshly created owner
+// with the same key. Only safe once no event it ranked is pending (after
+// an engine Reset).
+func (o *RankOwner) Rewind() { o.n = 0 }
 
 // ShardGroup runs several shard engines in lockstep conservative windows,
 // with a coordinator engine for control-timescale work (tickers, samplers,

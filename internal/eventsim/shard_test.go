@@ -10,50 +10,40 @@ func TestRankOwnerPacking(t *testing.T) {
 	o := NewRankOwner(7)
 	r0 := o.Next()
 	r1 := o.Next()
-	if r0 != 7<<32 || r1 != 7<<32|1 {
-		t.Fatalf("ranks = %x, %x; want %x, %x", r0, r1, uint64(7)<<32, uint64(7)<<32|1)
+	if r0.v != 8<<32 || r1.v != 8<<32|1 {
+		t.Fatalf("ranks = %x, %x; want %x, %x", r0.v, r1.v, uint64(8)<<32, uint64(8)<<32|1)
 	}
 	// Lower keys beat higher keys at equal sequence numbers.
 	a := NewRankOwner(1)
 	b := NewRankOwner(2)
-	if a.Next() >= b.Next() {
+	if a.Next().v >= b.Next().v {
 		t.Fatal("rank of key 1 should sort before rank of key 2")
 	}
 }
 
 func TestRankedEngineOrdersBySuppliedRank(t *testing.T) {
 	e := New(1)
-	e.RequireRank()
 	var got []int
-	// Schedule in reverse rank order at the same instant.
-	e.ScheduleRank(time.Millisecond, 3, func() { got = append(got, 3) })
-	e.ScheduleRank(time.Millisecond, 1, func() { got = append(got, 1) })
-	e.ScheduleRank(time.Millisecond, 2, func() { got = append(got, 2) })
+	// Schedule out of rank order at the same instant.
+	o3, o1, o2 := NewRankOwner(3), NewRankOwner(1), NewRankOwner(2)
+	e.ScheduleRank(time.Millisecond, o3.Next(), func() { got = append(got, 3) })
+	e.ScheduleRank(time.Millisecond, o1.Next(), func() { got = append(got, 1) })
+	e.ScheduleRank(time.Millisecond, o2.Next(), func() { got = append(got, 2) })
 	e.Run(time.Millisecond)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("execution order = %v, want [1 2 3]", got)
 	}
 }
 
-func TestRankedEngineRejectsPlainSchedule(t *testing.T) {
-	e := New(1)
-	e.RequireRank()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("plain Schedule on a ranked engine should panic")
-		}
-	}()
-	e.Schedule(time.Millisecond, func() {})
-}
-
 func TestPeekAt(t *testing.T) {
 	e := New(1)
+	o := NewRankOwner(1)
 	if _, ok := e.PeekAt(); ok {
 		t.Fatal("PeekAt on an empty engine should report !ok")
 	}
-	e.Schedule(5*time.Millisecond, func() {})
+	e.ScheduleRank(5*time.Millisecond, o.Next(), func() {})
 	// Far-future event (beyond the near ring) must still be peekable.
-	e.Schedule(30*time.Second, func() {})
+	e.ScheduleRank(30*time.Second, o.Next(), func() {})
 	at, ok := e.PeekAt()
 	if !ok || at != 5*time.Millisecond {
 		t.Fatalf("PeekAt = %v,%v; want 5ms,true", at, ok)
@@ -86,12 +76,10 @@ func TestShardGroupWindowedRun(t *testing.T) {
 	const hop = 2 * time.Millisecond
 	coord := New(1)
 	s0, s1 := New(2), New(3)
-	s0.RequireRank()
-	s1.RequireRank()
 
 	type msg struct {
 		at   time.Duration
-		rank uint64
+		rank Rank
 		dst  int
 	}
 	var pending [2][]msg // producer-local; drained at barriers
@@ -129,7 +117,8 @@ func TestShardGroupWindowedRun(t *testing.T) {
 	}
 
 	var coordTicks int
-	coord.Schedule(time.Millisecond, func() { coordTicks++ })
+	co := NewRankOwner(9)
+	coord.ScheduleRank(time.Millisecond, co.Next(), func() { coordTicks++ })
 	s0.ScheduleRank(0, owners[0].Next(), func() { bounce(0) })
 	g.Run(20 * time.Millisecond)
 
@@ -160,7 +149,6 @@ func TestShardGroupWindowedRun(t *testing.T) {
 func TestShardGroupIdleGap(t *testing.T) {
 	coord := New(1)
 	s0 := New(2)
-	s0.RequireRank()
 	o := NewRankOwner(1)
 	fired := 0
 	s0.ScheduleRank(time.Millisecond, o.Next(), func() { fired++ })
@@ -186,7 +174,6 @@ func unevenGroup(shards, workers int) (g *ShardGroup, fired []int, period func(i
 	fired = make([]int, shards)
 	for i := 0; i < shards; i++ {
 		e := New(int64(i) + 2)
-		e.RequireRank()
 		o := NewRankOwner(uint64(i) + 1)
 		var tick func()
 		tick = func() {
@@ -238,7 +225,8 @@ func TestShardGroupOneWorkerRunsInline(t *testing.T) {
 	g, _, _ := unevenGroup(3, 1)
 	before := runtime.NumGoroutine()
 	during := 0
-	g.Coord.Schedule(5*time.Millisecond, func() { during = runtime.NumGoroutine() })
+	co := NewRankOwner(9)
+	g.Coord.ScheduleRank(5*time.Millisecond, co.Next(), func() { during = runtime.NumGoroutine() })
 	g.Run(10 * time.Millisecond)
 	if during != before || runtime.NumGoroutine() != before {
 		t.Fatalf("goroutines: %d before Run, %d during, %d after; one worker must start none",

@@ -44,7 +44,7 @@ func AblationModeLatency() *Result {
 			}
 			ctrls[i] = c
 		}
-		n.Eng.Schedule(10*time.Millisecond, func() {
+		n.Eng.ScheduleRank(10*time.Millisecond, n.Owner(netsim.SiteScript).Next(), func() {
 			ctx := &dataplane.Context{Now: n.Now(), Switch: 0, InLink: -1,
 				Pkt: &packet.Packet{Proto: packet.ProtoTCP}, OutLink: -1}
 			ctrls[0].RequestActivate(ctx, 3, 1)
@@ -327,7 +327,7 @@ func AblationStability(seed int64) *Result {
 			Bots: bots, Servers: srvAddr, BotRateBps: 1.5e6, FlowsPerBot: 2,
 		})
 		pulse := attack.NewPulsing(n, crossfireOnOff{base}, 3*time.Second, 1500*time.Millisecond)
-		n.Eng.Schedule(5*time.Second, pulse.Start)
+		n.Eng.ScheduleRank(5*time.Second, n.Owner(netsim.SiteScript).Next(), pulse.Start)
 		fab.Run(60 * time.Second)
 		res.Workload(n.EventsFired(), n.PacketsProcessed())
 		var suppressed uint64

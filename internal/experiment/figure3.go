@@ -333,7 +333,7 @@ func Figure3(cfg Figure3Config) *Figure3Result {
 		}
 		return total
 	}
-	sampler := metrics.RateSampler(n.Eng, fmt.Sprintf("user goodput (%v)", cfg.Defense),
+	sampler := metrics.RateSampler(n.Eng, n.Owner(netsim.SiteSampler), fmt.Sprintf("user goodput (%v)", cfg.Defense),
 		cfg.SampleEvery, userGoodput)
 
 	// The rolling Crossfire attacker.
@@ -346,7 +346,7 @@ func Figure3(cfg Figure3Config) *Figure3Result {
 	})
 	atk.Launch()
 	if cfg.AttackStop < cfg.Duration {
-		n.Eng.Schedule(cfg.AttackStop, atk.Stop)
+		n.Eng.ScheduleRank(cfg.AttackStop, n.Owner(netsim.SiteScript).Next(), atk.Stop)
 	}
 
 	setupWall := time.Since(setupStart)

@@ -57,14 +57,14 @@ func Figure1dScale() *Result {
 		}
 		return total
 	}
-	sampler := metrics.RateSampler(n.Eng, "user goodput (dynamic scaling)", time.Second, goodput)
+	sampler := metrics.RateSampler(n.Eng, n.Owner(netsim.SiteSampler), "user goodput (dynamic scaling)", time.Second, goodput)
 
 	// The volumetric flood starts at 10 s. The fabric has no heavy-hitter
 	// detector installed (it was not in the placement plan), and the
 	// UDP elephants do not match the LFA detector's low-rate profile —
 	// the provisioned defenses are blind to this attack.
 	vol := attack.NewVolumetric(n, bots, protected[0], 40e6)
-	n.Eng.Schedule(10*time.Second, vol.Start)
+	n.Eng.ScheduleRank(10*time.Second, n.Owner(netsim.SiteScript).Next(), vol.Start)
 
 	// At 25 s the operator (or an automated trigger watching victim-edge
 	// loads) scales out: every ingress switch is repurposed in sequence to
@@ -73,7 +73,7 @@ func Figure1dScale() *Result {
 	for i, in := range f.Ingresses {
 		in := in
 		at := 25*time.Second + time.Duration(i)*3*time.Second // rolling upgrade
-		n.Eng.Schedule(at, func() {
+		n.Eng.ScheduleRank(at, n.Owner(netsim.SiteScript).Next(), func() {
 			err := fab.ScaleOut(in, 2*time.Second, func(sw *dataplane.Switch) error {
 				hh := booster.NewHeavyHitter(in, booster.HHConfig{
 					Epoch: 500 * time.Millisecond, ThresholdPkts: 1000,

@@ -114,10 +114,10 @@ type Sampler struct {
 	ticker *eventsim.Ticker
 }
 
-// NewSampler starts sampling fn every period.
-func NewSampler(eng *eventsim.Engine, name string, period time.Duration, fn func() float64) *Sampler {
+// NewSampler starts sampling fn every period, each tick ranked by own.
+func NewSampler(eng *eventsim.Engine, own *eventsim.RankOwner, name string, period time.Duration, fn func() float64) *Sampler {
 	s := &Sampler{S: &Series{Name: name}}
-	s.ticker = eventsim.NewTicker(eng, period, func() {
+	s.ticker = eventsim.NewTicker(eng, own, period, func() {
 		s.S.Add(eng.Now(), fn())
 	})
 	return s
@@ -128,10 +128,10 @@ func (s *Sampler) Stop() { s.ticker.Stop() }
 
 // RateSampler samples the derivative of a monotonically increasing counter
 // (e.g. bytes received), reporting per-second rates.
-func RateSampler(eng *eventsim.Engine, name string, period time.Duration, counter func() uint64) *Sampler {
+func RateSampler(eng *eventsim.Engine, own *eventsim.RankOwner, name string, period time.Duration, counter func() uint64) *Sampler {
 	last := counter()
 	s := &Sampler{S: &Series{Name: name}}
-	s.ticker = eventsim.NewTicker(eng, period, func() {
+	s.ticker = eventsim.NewTicker(eng, own, period, func() {
 		cur := counter()
 		rate := float64(cur-last) / period.Seconds()
 		last = cur

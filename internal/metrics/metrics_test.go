@@ -79,7 +79,8 @@ func TestNormalize(t *testing.T) {
 func TestSampler(t *testing.T) {
 	eng := eventsim.New(1)
 	x := 0.0
-	s := NewSampler(eng, "x", 100*time.Millisecond, func() float64 { x++; return x })
+	o := eventsim.NewRankOwner(1)
+	s := NewSampler(eng, &o, "x", 100*time.Millisecond, func() float64 { x++; return x })
 	eng.Run(time.Second)
 	if s.S.Len() != 10 {
 		t.Fatalf("samples = %d, want 10", s.S.Len())
@@ -97,8 +98,9 @@ func TestSampler(t *testing.T) {
 func TestRateSampler(t *testing.T) {
 	eng := eventsim.New(1)
 	var counter uint64
-	eventsim.NewTicker(eng, 10*time.Millisecond, func() { counter += 100 })
-	rs := RateSampler(eng, "rate", 100*time.Millisecond, func() uint64 { return counter })
+	load, o := eventsim.NewRankOwner(1), eventsim.NewRankOwner(2)
+	eventsim.NewTicker(eng, &load, 10*time.Millisecond, func() { counter += 100 })
+	rs := RateSampler(eng, &o, "rate", 100*time.Millisecond, func() uint64 { return counter })
 	eng.Run(time.Second)
 	if rs.S.Len() != 10 {
 		t.Fatalf("samples = %d", rs.S.Len())

@@ -309,7 +309,7 @@ func TestModeChangePropagationLatency(t *testing.T) {
 		ctrls[i] = c
 	}
 	// Fire the alarm at switch 0 at t = 10ms.
-	n.Eng.Schedule(10*time.Millisecond, func() {
+	n.Eng.ScheduleRank(10*time.Millisecond, n.Owner(netsim.SiteScript).Next(), func() {
 		ctx := &dataplane.Context{Now: n.Now(), Switch: 0, InLink: -1,
 			Pkt: dataPkt(), OutLink: -1}
 		ctrls[0].RequestActivate(ctx, 3, 1)

@@ -44,12 +44,12 @@ func fluidConservationRun(t *testing.T, shards int) (inj, del, drop float64) {
 
 	// Mid-run rate churn from coordinator context, so updates ride the
 	// hand-off rings while packets are absent (pure fluid run).
-	n.Eng.Schedule(300*time.Millisecond, func() { flows[0].SetRate(80e6) })
-	n.Eng.Schedule(600*time.Millisecond, func() { flows[0].SetRate(300e6) })
+	n.Eng.ScheduleRank(300*time.Millisecond, n.Owner(SiteScript).Next(), func() { flows[0].SetRate(80e6) })
+	n.Eng.ScheduleRank(600*time.Millisecond, n.Owner(SiteScript).Next(), func() { flows[0].SetRate(300e6) })
 
 	// Mid-run audit: with traffic still flowing and queues full, every
 	// link must satisfy offered == delivered + dropped + queued exactly.
-	n.Eng.Schedule(700*time.Millisecond, func() {
+	n.Eng.ScheduleRank(700*time.Millisecond, n.Owner(SiteScript).Next(), func() {
 		for _, l := range g.Links {
 			offered, delivered, dropped, queued := n.FluidLinkStats(l.ID)
 			if !relClose(offered, delivered+dropped+queued, 1e-9) {
@@ -60,7 +60,7 @@ func fluidConservationRun(t *testing.T, shards int) (inj, del, drop float64) {
 	})
 
 	for _, f := range flows {
-		n.Eng.Schedule(time.Second, f.Stop)
+		n.Eng.ScheduleRank(time.Second, n.Owner(SiteScript).Next(), f.Stop)
 	}
 	n.Run(3 * time.Second)
 

@@ -109,7 +109,7 @@ func TestFluidDrainBoundary(t *testing.T) {
 	n, h0, h1, mid := fluidLine(t, nil)
 	f := n.NewFluidFlow(h0, h1, 200e6, 1)
 	f.Start()
-	n.Eng.Schedule(500*time.Millisecond, f.Stop)
+	n.Eng.ScheduleRank(500*time.Millisecond, n.Owner(SiteScript).Next(), f.Stop)
 	n.Run(3 * time.Second)
 
 	if q := n.FluidQueuedBytes(); q != 0 {
@@ -136,7 +136,7 @@ func TestFluidRateChangePropagates(t *testing.T) {
 	n, h0, h1, _ := fluidLine(t, nil)
 	f := n.NewFluidFlow(h0, h1, 40e6, 1)
 	f.Start()
-	n.Eng.Schedule(time.Second, func() { f.SetRate(16e6) })
+	n.Eng.ScheduleRank(time.Second, n.Owner(SiteScript).Next(), func() { f.SetRate(16e6) })
 	n.Run(3 * time.Second)
 
 	inj := f.InjectedBytes()
@@ -167,7 +167,7 @@ func TestFluidPacketSeesLoad(t *testing.T) {
 	n, h0, h1, _ := fluidLine(t, nil)
 	f := n.NewFluidFlow(h0, h1, 200e6, 1)
 	f.Start()
-	n.Eng.Schedule(100*time.Millisecond, func() {
+	n.Eng.ScheduleRank(100*time.Millisecond, n.Owner(SiteScript).Next(), func() {
 		p := n.NewPacket()
 		p.Src, p.Dst, p.TTL = packet.HostAddr(int(h0)), packet.HostAddr(int(h1)), 64
 		p.Proto, p.SrcPort, p.DstPort, p.PayloadLen = packet.ProtoUDP, 1, 2, 100
@@ -188,11 +188,11 @@ func TestFluidPacketSeesLoad(t *testing.T) {
 			f.Start()
 			// 4 ms of +12.5 MB/s excess builds ~50 KB, then drop to 90 Mbps
 			// so the backlog drains slowly while staying under capacity.
-			n.Eng.Schedule(4*time.Millisecond, func() { f.SetRate(90e6) })
+			n.Eng.ScheduleRank(4*time.Millisecond, n.Owner(SiteScript).Next(), func() { f.SetRate(90e6) })
 		}
 		var at time.Duration
 		n.Host(h1).OnSink(func(now time.Duration, _ *packet.Packet) { at = now })
-		n.Eng.Schedule(5*time.Millisecond, func() {
+		n.Eng.ScheduleRank(5*time.Millisecond, n.Owner(SiteScript).Next(), func() {
 			p := n.NewPacket()
 			p.Src, p.Dst, p.TTL = packet.HostAddr(int(h0)), packet.HostAddr(int(h1)), 64
 			p.Proto, p.SrcPort, p.DstPort, p.PayloadLen = packet.ProtoUDP, 1, 2, 100

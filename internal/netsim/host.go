@@ -191,7 +191,7 @@ func (h *Host) Traceroute(dst packet.Addr, maxTTL int, timeout time.Duration, do
 		pkt.Seq = base + uint32(ttl-1)
 		h.net.SendFromHost(h.node, pkt)
 	}
-	h.net.Eng.After(timeout, func() {
+	h.net.Eng.AfterRank(timeout, h.net.Owner(SiteTraceroute).Next(), func() {
 		cancel()
 		// Trim trailing silent hops (past the destination).
 		end := len(hops)

@@ -54,7 +54,7 @@ func TestLinkLedger(t *testing.T) {
 	const horizon = 6 * time.Second
 	audit := func(t *testing.T, label string, n *Network) {
 		var midRun int
-		n.Eng.Schedule(horizon*2/3, func() { midRun = checkLinkLedger(t, n, label+" mid-run") })
+		n.Eng.ScheduleRank(horizon*2/3, n.Owner(SiteScript).Next(), func() { midRun = checkLinkLedger(t, n, label+" mid-run") })
 		n.Run(horizon)
 		checkLinkLedger(t, n, label+" horizon")
 		if midRun == 0 || n.DropsQueue() == 0 || n.DropsLoss() == 0 {
@@ -80,7 +80,7 @@ func TestLinkLedger(t *testing.T) {
 			for i, b := range bots {
 				s := NewCBRSource(n, b, packet.HostAddr(int(servers[i%len(servers)])), uint16(7000+i), 80,
 					packet.ProtoUDP, 1000, 3e6)
-				n.Eng.Schedule(horizon/3, s.Start)
+				n.Eng.ScheduleRank(horizon/3, n.Owner(SiteScript).Next(), s.Start)
 			}
 			n.SetLinkLoss(f.CriticalLinkA, 0.01)
 			audit(t, label, n)

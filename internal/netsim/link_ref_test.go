@@ -284,12 +284,12 @@ func TestLinkMatchesEventedReference(t *testing.T) {
 			n.Host(h).OnSink(func(now time.Duration, p *packet.Packet) { got[p.Seq] = now })
 			for i, a := range script {
 				pkt := a.packet(uint32(i))
-				n.Eng.Schedule(a.at, func() { n.Enqueue(lid, pkt) })
+				n.Eng.ScheduleRank(a.at, n.Owner(SiteScript).Next(), func() { n.Enqueue(lid, pkt) })
 			}
 			var probes []linkProbe
 			for _, at := range probeAt {
 				ref.schedule(at, refProbe, refPkt{})
-				n.Eng.Schedule(at, func() {
+				n.Eng.ScheduleRank(at, n.Owner(SiteScript).Next(), func() {
 					_, sent, _ := n.LinkStats(lid)
 					probes = append(probes, linkProbe{n.Now(), n.QueueDepth(lid), sent, n.LinkLoadInstant(lid)})
 				})

@@ -86,9 +86,11 @@ type Network struct {
 	// (fluid.go); empty unless Cfg.Fluid is set and flows were created.
 	fluidFlows []*FluidFlow
 
+	// coord ranks every coordinator event, one owner per site (coord.go).
+	coord [numSites]eventsim.RankOwner
+
 	// utilTicker is the link-utilization window ticker created by New; it
-	// survives Reset (re-armed there, so its event occupies the same
-	// coordinator sequence slot a fresh build would give it).
+	// survives Reset, which re-arms it.
 	utilTicker *eventsim.Ticker
 
 	// unbatched turns off same-instant delivery fusion, so tests can prove
@@ -126,6 +128,7 @@ func newOn(g *topo.Graph, cfg Config, part *topo.Shards) *Network {
 		Cfg:      cfg,
 		switches: make([]*dataplane.Switch, len(g.Nodes)),
 		hosts:    make([]*Host, len(g.Nodes)),
+		coord:    newCoordOwners(),
 	}
 	for _, node := range g.Nodes {
 		switch node.Kind {
@@ -152,9 +155,7 @@ func newOn(g *topo.Graph, cfg Config, part *topo.Shards) *Network {
 	}
 	// One ticker advances all link-utilization windows (coordinator work:
 	// it reads per-link byte counters the shards wrote before the barrier).
-	// This is the first event ever scheduled on the coordinator engine;
-	// Reset re-arms it first for the same reason.
-	n.utilTicker = eventsim.NewTicker(n.Eng, cfg.UtilWindow, func() {
+	n.utilTicker = eventsim.NewTicker(n.Eng, n.Owner(SiteUtil), cfg.UtilWindow, func() {
 		for _, l := range n.links {
 			l.rollWindow(cfg.UtilWindow)
 		}
@@ -185,7 +186,6 @@ func (n *Network) setupShards(cfg Config, part *topo.Shards) {
 		// replace it), but distinct seeds keep any future misuse from
 		// aliasing across shards.
 		sh := &shardState{n: n, idx: i, eng: eventsim.New(cfg.Seed + int64(i) + 1)}
-		sh.eng.RequireRank()
 		sh.batchDone = sh.makeBatchDone()
 		// Rings appear with the cut links that use them (newLinkState):
 		// a fine partition has many pairs and few neighbours.

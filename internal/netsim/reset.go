@@ -8,19 +8,19 @@ import (
 
 // Reset returns a fully built network to its pre-run state, re-seeded at
 // seed, in O(touched state): engines are cleared, per-entity RNG streams and
-// merge-rank counters are rewound to their (seed, key)-derived origins, link
-// and host runtime state is zeroed, and the utilization ticker is re-armed
-// in the same coordinator sequence slot New gave it. A subsequent run is
-// byte-identical to one on a freshly built network with the same config and
-// seed — that property is pinned by experiment's reset-vs-fresh goldens.
+// rank owners are rewound to their (seed, key)-derived origins, link and
+// host runtime state is zeroed, and the utilization ticker is re-armed. A
+// subsequent run is byte-identical to one on a freshly built network with
+// the same config and seed — that property is pinned by experiment's
+// reset-vs-fresh goldens.
 //
 // Reset covers exactly the state netsim.New creates. Anything layered on
 // top by a scenario — traffic sources, fluid flows, samplers, loss
 // injection, sinks, handlers — is dropped here and must be recreated by the
-// caller in the same order a fresh run would create it, which (because the
-// engine sequence counters and nextOwnerKey replay) yields identical event
-// ordering and rank keys. Switch pipeline state is NOT touched; callers
-// that own dataplane programs reset them separately (core.Fabric.Reset).
+// caller in the same order a fresh run would create it, so that sources
+// draw the same keys from the rewound nextOwnerKey. Switch pipeline state
+// is NOT touched; callers that own dataplane programs reset them separately
+// (core.Fabric.Reset).
 //
 // Packets on a link or in a hand-off ring at reset are recycled into the
 // pool of the shard that holds them; pending events are dropped to the
@@ -51,10 +51,9 @@ func (n *Network) Reset(seed int64) {
 	}
 	n.fluidFlows = nil
 	n.group.Windows = 0
-	// Re-arm surviving tickers in build order: the util ticker was the
-	// first event New scheduled on the coordinator, so it must be the
-	// first event Reset schedules (it takes engine sequence number 0,
-	// exactly as in a fresh build).
+	for s := range n.coord {
+		n.coord[s].Rewind()
+	}
 	n.utilTicker.Rearm()
 }
 

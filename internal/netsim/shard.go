@@ -131,7 +131,7 @@ func (sh *shardState) putCtx(ctx *dataplane.Context) {
 // protocol.
 type handoff struct {
 	at    time.Duration
-	rank  uint64
+	rank  eventsim.Rank
 	link  topo.LinkID
 	pkt   *packet.Packet
 	fci   int32
@@ -270,6 +270,9 @@ func (n *Network) shardAt(id topo.NodeID) *shardState { return n.shards[n.shardO
 // are identical across runs and shard counts.
 func (n *Network) newRankOwner() eventsim.RankOwner {
 	k := n.nextOwnerKey
+	if k >= coordBand {
+		panic("netsim: source rank keys reached the coordinator band")
+	}
 	n.nextOwnerKey++
 	return eventsim.NewRankOwner(k)
 }

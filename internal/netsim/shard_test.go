@@ -92,8 +92,8 @@ func runShardedOn(t *testing.T, shards, parts int, mutate func(*Network)) shardF
 
 	// Mid-run control actions from coordinator context: stop and restart a
 	// source at a barrier, as an attack orchestrator would.
-	n.Eng.Schedule(800*time.Millisecond, cbrs[0].Stop)
-	n.Eng.Schedule(1200*time.Millisecond, cbrs[0].Start)
+	n.Eng.ScheduleRank(800*time.Millisecond, n.Owner(SiteScript).Next(), cbrs[0].Stop)
+	n.Eng.ScheduleRank(1200*time.Millisecond, n.Owner(SiteScript).Next(), cbrs[0].Start)
 
 	n.Run(2 * time.Second)
 

@@ -88,7 +88,7 @@ func (r *Repurposer) Repurpose(target topo.NodeID, cfg RepurposeConfig,
 
 	// 3. Blackout: the switch drops everything it receives.
 	sw.Reconfiguring = true
-	r.net.Eng.After(cfg.Latency, func() {
+	r.net.Eng.AfterRank(cfg.Latency, r.net.Owner(netsim.SiteRepurpose).Next(), func() {
 		err := change(sw)
 		sw.Reconfiguring = false
 		// 4. Restore normal routing.

@@ -205,7 +205,7 @@ func NewReplicator(n *netsim.Network, src, replica topo.NodeID, recv *Receiver,
 			prev(origin, stateID, blob)
 		}
 	}
-	eventsim.NewTicker(n.Eng, period, func() {
+	eventsim.NewTicker(n.Eng, n.Owner(netsim.SiteReplicate), period, func() {
 		sw := n.Switch(src)
 		if sw == nil || sw.Reconfiguring {
 			return
