@@ -39,35 +39,6 @@ func TestFIFOTieBreak(t *testing.T) {
 	}
 }
 
-// TestOwnerKeyOrder pins the tie-break between owners: same-instant events
-// fire in owner-key order whichever owner scheduled first, and each
-// owner's own events keep the order it scheduled them in.
-func TestOwnerKeyOrder(t *testing.T) {
-	for _, highFirst := range []bool{true, false} {
-		e := New(1)
-		lo, hi := NewRankOwner(3), NewRankOwner(9)
-		var got []string
-		add := func(o *RankOwner, tag string) {
-			e.ScheduleRank(time.Millisecond, o.Next(), func() { got = append(got, tag) })
-		}
-		if highFirst {
-			add(&hi, "hi0")
-			add(&hi, "hi1")
-			add(&lo, "lo0")
-			add(&lo, "lo1")
-		} else {
-			add(&lo, "lo0")
-			add(&hi, "hi0")
-			add(&lo, "lo1")
-			add(&hi, "hi1")
-		}
-		e.Run(time.Second)
-		if fmt.Sprint(got) != "[lo0 lo1 hi0 hi1]" {
-			t.Fatalf("highFirst=%v: order = %v, want [lo0 lo1 hi0 hi1]", highFirst, got)
-		}
-	}
-}
-
 // TestScheduleRankRejectsZeroRank pins that only RankOwner.Next mints a
 // rank: the zero Rank, the one value a caller can write without an owner,
 // panics instead of silently tying with a minted rank.

@@ -1,6 +1,7 @@
 package eventsim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -21,17 +22,32 @@ func TestRankOwnerPacking(t *testing.T) {
 	}
 }
 
+// TestRankedEngineOrdersBySuppliedRank pins the one tie-break: same-instant
+// events fire in owner-key order whichever owner scheduled first, and each
+// owner's own events in the order it scheduled them.
 func TestRankedEngineOrdersBySuppliedRank(t *testing.T) {
-	e := New(1)
-	var got []int
-	// Schedule out of rank order at the same instant.
-	o3, o1, o2 := NewRankOwner(3), NewRankOwner(1), NewRankOwner(2)
-	e.ScheduleRank(time.Millisecond, o3.Next(), func() { got = append(got, 3) })
-	e.ScheduleRank(time.Millisecond, o1.Next(), func() { got = append(got, 1) })
-	e.ScheduleRank(time.Millisecond, o2.Next(), func() { got = append(got, 2) })
-	e.Run(time.Millisecond)
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("execution order = %v, want [1 2 3]", got)
+	for _, highFirst := range []bool{true, false} {
+		e := New(1)
+		lo, hi := NewRankOwner(3), NewRankOwner(9)
+		var got []string
+		add := func(o *RankOwner, tag string) {
+			e.ScheduleRank(time.Millisecond, o.Next(), func() { got = append(got, tag) })
+		}
+		if highFirst {
+			add(&hi, "hi0")
+			add(&hi, "hi1")
+			add(&lo, "lo0")
+			add(&lo, "lo1")
+		} else {
+			add(&lo, "lo0")
+			add(&hi, "hi0")
+			add(&lo, "lo1")
+			add(&hi, "hi1")
+		}
+		e.Run(time.Millisecond)
+		if fmt.Sprint(got) != "[lo0 lo1 hi0 hi1]" {
+			t.Fatalf("highFirst=%v: order = %v, want [lo0 lo1 hi0 hi1]", highFirst, got)
+		}
 	}
 }
 

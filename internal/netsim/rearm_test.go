@@ -17,7 +17,12 @@ import (
 // site's owner, so the order a reset re-arms the surviving tickers in is
 // irrelevant. A fabric reset with the heartbeat re-armed before the
 // utilization ticker — the reverse of the build order — runs a defended
-// Figure-2 attack byte-identically to a fresh build at the same seed.
+// Figure-2 attack byte-identically to a fresh build at the same seed. The
+// utilization window is set to the heartbeat's 100 ms so that both tickers
+// are due at every shared instant from their first, where only their ranks
+// can order them: the heartbeat (the lower site key) must fire first in
+// both runs, which an insertion-ordered engine would not do after the
+// reversed re-arm.
 func TestResetRearmOrderInvisible(t *testing.T) {
 	const seed = 5
 	f := topo.NewFigure2()
@@ -29,6 +34,7 @@ func TestResetRearmOrderInvisible(t *testing.T) {
 	build := func(seed int64) *core.Fabric {
 		cfg := core.Config{Protected: srv, Net: netsim.DefaultConfig()}
 		cfg.Net.Seed = seed
+		cfg.Net.UtilWindow = 100 * time.Millisecond
 		fab, err := core.New(f.G, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -48,6 +54,14 @@ func TestResetRearmOrderInvisible(t *testing.T) {
 			Bots: bots, Servers: srv, BotRateBps: 1.5e6, FlowsPerBot: 2, TargetLinks: 1,
 			Rolling: true, ScoutEvery: 2 * time.Second, Start: time.Second,
 		}).Launch()
+		// Both tickers are due at 100 ms; step the coordinator once and
+		// see which fired: only the heartbeat runs switch pipelines.
+		fab.Run(99 * time.Millisecond)
+		passes := n.PacketsProcessed()
+		n.Eng.Step()
+		if n.Eng.Now() != 100*time.Millisecond || n.PacketsProcessed() == passes {
+			t.Fatalf("at %v the utilization ticker fired before the heartbeat", n.Eng.Now())
+		}
 		fab.Run(5 * time.Second)
 		if len(fab.ModeEvents()) == 0 {
 			t.Fatal("vacuous: no mode change")
