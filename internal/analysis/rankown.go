@@ -37,8 +37,8 @@ var rankOwnBarrier = map[string]bool{
 	"internal/netsim.(*Network).exchange":    true,
 }
 
-// afterCallers are the packages allowed to call Engine.After.
-var afterCallers = map[string]bool{"fastflex/bench": true}
+// afterCaller is the one package allowed to call Engine.After.
+const afterCaller = "fastflex/bench"
 
 // RankOwnership checks Engine.After use, stream-key uniqueness, and
 // shard-write confinement.
@@ -84,7 +84,7 @@ func checkRankCall(p *Pass, pkg *Package, below bool, call *ast.CallExpr, diags 
 	}
 	switch obj.Name() {
 	case "After":
-		if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil && !afterCallers[pkg.Path] {
+		if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil && pkg.Path != afterCaller {
 			report("Engine.After ranks by the engine's own owner, which only a bare engine may use: schedule with AfterRank and the scheduling entity's RankOwner")
 		}
 	case "NewStream":

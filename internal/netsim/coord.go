@@ -35,11 +35,3 @@ const coordBand = 1 << 31
 // Owner returns the rank owner of a coordinator site. Every event on Eng
 // is ranked by one of these.
 func (n *Network) Owner(s CoordSite) *eventsim.RankOwner { return &n.coord[s] }
-
-// newCoordOwners keys one owner per site.
-func newCoordOwners() (o [numSites]eventsim.RankOwner) {
-	for s := range o {
-		o[s] = eventsim.NewRankOwner(coordBand + uint64(s))
-	}
-	return o
-}

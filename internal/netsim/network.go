@@ -128,7 +128,9 @@ func newOn(g *topo.Graph, cfg Config, part *topo.Shards) *Network {
 		Cfg:      cfg,
 		switches: make([]*dataplane.Switch, len(g.Nodes)),
 		hosts:    make([]*Host, len(g.Nodes)),
-		coord:    newCoordOwners(),
+	}
+	for s := range n.coord {
+		n.coord[s] = eventsim.NewRankOwner(coordBand + uint64(s))
 	}
 	for _, node := range g.Nodes {
 		switch node.Kind {
