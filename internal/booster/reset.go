@@ -10,14 +10,6 @@ package booster
 // counters — clears, leaving the module indistinguishable from a freshly
 // constructed one.
 
-// ResetRun implements dataplane.RunResettable. ACL rules clear: they are
-// installed by scenario code after the fabric is built, so they are run
-// state, not construction state.
-func (a *AccessControl) ResetRun() {
-	a.rules = a.rules[:0]
-	a.Denied, a.Tagged, a.Matched = 0, 0, 0
-}
-
 // ResetRun implements dataplane.RunResettable.
 func (h *HeavyHitter) ResetRun() {
 	h.pipe.Reset()
@@ -26,14 +18,6 @@ func (h *HeavyHitter) ResetRun() {
 	h.lastAssert = 0
 	h.active = false
 	h.Alarms, h.Clears, h.Flagged = 0, 0, 0
-}
-
-// ResetRun implements dataplane.RunResettable.
-func (f *HopCountFilter) ResetRun() {
-	clear(f.learned)
-	f.learnEnd = 0
-	f.Learned = 0
-	f.Mismatches, f.Dropped = 0, 0
 }
 
 // ResetRun implements dataplane.RunResettable. The suspicion slice keeps
@@ -61,24 +45,8 @@ func (d *Dropper) ResetRun() {
 }
 
 // ResetRun implements dataplane.RunResettable.
-func (n *Normalizer) ResetRun() {
-	n.Rewritten = 0
-}
-
-// ResetRun implements dataplane.RunResettable.
 func (o *Obfuscator) ResetRun() {
 	o.Fabricated = 0
-}
-
-// ResetRun implements dataplane.RunResettable.
-func (g *GlobalRateLimit) ResetRun() {
-	g.windowStart = 0
-	g.windowBytes = 0
-	g.lastWindow = 0
-	g.throttling = false
-	g.dropFrac = 0
-	g.debt = 0
-	g.Dropped, g.Throttled = 0, 0
 }
 
 // ResetRun implements dataplane.RunResettable.

@@ -30,15 +30,6 @@ func BaseCost(l topo.Link) float64 {
 	return 1
 }
 
-// LoadAwareCost returns a cost function that penalizes currently loaded
-// links: cost = base × (1 + alpha × utilization). This is the reactive TE
-// the baseline defense recomputes each cycle.
-func LoadAwareCost(n *netsim.Network, alpha float64) CostFunc {
-	return func(l topo.Link) float64 {
-		return BaseCost(l) * (1 + float64(alpha*n.LinkLoad(l.ID)))
-	}
-}
-
 // NextHops computes, for every switch, the egress link toward dst (a host
 // node) under the given cost function, via a Dijkstra run on the reversed
 // graph. Following the next hops strictly decreases distance-to-dst, so the

@@ -86,28 +86,6 @@ func TestComputeRoutesSplitsAcrossCriticalLinks(t *testing.T) {
 	}
 }
 
-func TestLoadAwareCostAvoidsFloodedLink(t *testing.T) {
-	f := topo.NewFigure2()
-	users := f.AttachUsers(2)
-	servers := f.AttachServers(1)
-	n := netsim.New(f.G, netsim.DefaultConfig())
-	Install(n, ComputeRoutes(f.G, BaseCost))
-
-	// Saturate critical link A with background UDP.
-	blast := netsim.NewCBRSource(n, users[0], packet.HostAddr(int(servers[0])),
-		1, 9, packet.ProtoUDP, 1400, 200e6)
-	blast.Start()
-	n.Run(2 * time.Second)
-	if n.LinkLoad(f.CriticalLinkA) < 0.9 {
-		t.Fatalf("setup: critical link A load %v, want ≈1", n.LinkLoad(f.CriticalLinkA))
-	}
-	routes := ComputeRoutes(f.G, LoadAwareCost(n, 8))
-	// CoreA must now route the victim's traffic around the flooded link.
-	if routes[f.CoreA][packet.HostAddr(int(servers[0]))] == f.CriticalLinkA {
-		t.Fatal("reactive TE kept using the flooded critical link")
-	}
-}
-
 func TestTEControllerPeriodicReconfig(t *testing.T) {
 	f := topo.NewFigure2()
 	f.AttachUsers(2)

@@ -4,11 +4,26 @@ import (
 	"testing"
 	"time"
 
-	"fastflex/internal/booster"
 	"fastflex/internal/dataplane"
 	"fastflex/internal/netsim"
 	"fastflex/internal/packet"
 )
+
+// blocker is the program a scale-out installs: it drops one source.
+type blocker struct{ src packet.Addr }
+
+func (blocker) Name() string { return "blocker" }
+
+func (blocker) Resources() dataplane.Resources {
+	return dataplane.Resources{Stages: 1, SRAMKB: 8, TCAM: 32, ALUs: 1}
+}
+
+func (b blocker) Process(ctx *dataplane.Context) dataplane.Verdict {
+	if ctx.Pkt.Src == b.src {
+		return dataplane.Drop
+	}
+	return dataplane.Continue
+}
 
 func TestFabricScaleOut(t *testing.T) {
 	sc := newLFAScenario(t, Config{}, 2, 2)
@@ -23,13 +38,9 @@ func TestFabricScaleOut(t *testing.T) {
 	completed := false
 	target := sc.f.DetourB
 	err := fab.ScaleOut(target, 2*time.Second, func(sw *dataplane.Switch) error {
-		// Repurpose the detour switch into a scrubber: add an ACL that
-		// hard-blocks a known-bad source.
-		acl := booster.NewAccessControl(target, 32)
-		if err := acl.AddRule(booster.ACLRule{Src: packet.HostAddr(999), Action: booster.ACLDeny}); err != nil {
-			return err
-		}
-		return sw.Install(dataplane.Program{PPM: acl, Priority: dataplane.PriMitigate + 1, Modes: 1})
+		// Repurpose the detour switch into a scrubber that hard-blocks a
+		// known-bad source.
+		return sw.Install(dataplane.Program{PPM: blocker{packet.HostAddr(999)}, Priority: dataplane.PriMitigate + 1, Modes: 1})
 	}, func(err error) { completed = true; doneErr = err })
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +55,7 @@ func TestFabricScaleOut(t *testing.T) {
 	if fab.Net.Switch(target).Reconfiguring {
 		t.Fatal("switch stuck in blackout")
 	}
-	if fab.Net.Switch(target).Lookup("acl@8") == nil {
+	if fab.Net.Switch(target).Lookup("blocker") == nil {
 		t.Fatal("new program not installed after repurpose")
 	}
 	// Traffic kept flowing (fast reroute masked the blackout; this flow's

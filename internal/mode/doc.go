@@ -3,7 +3,7 @@
 // defense modes across the network via probe packets — no SDN controller in
 // the loop — plus region scoping for mixed-vector attacks, dwell-time
 // hysteresis for stability against attacker-induced flapping (§6), and
-// periodic detector-view synchronization for distributed detection.
+// soft-state leases that expire modes nobody re-asserts.
 //
 // Layer (DESIGN.md §2): beside the boosters, below control and netsim
 // orchestration — mode controllers are dataplane residents that see only

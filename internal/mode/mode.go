@@ -35,12 +35,6 @@ type Config struct {
 	// no matter how clear probes are lost or suppressed, a mode nobody
 	// asserts anymore dies out. 0 disables expiry.
 	SoftTTL time.Duration
-	// SyncEvery is the period for broadcasting local detector metrics to
-	// other controllers; 0 disables synchronization (default 0).
-	SyncEvery time.Duration
-	// SyncStale: remote samples older than this are excluded from global
-	// aggregates (default 3×SyncEvery).
-	SyncStale time.Duration
 }
 
 func (c *Config) fillDefaults() {
@@ -56,15 +50,6 @@ func (c *Config) fillDefaults() {
 	if c.ProbeHops == 0 {
 		c.ProbeHops = 32
 	}
-	if c.SyncEvery > 0 && c.SyncStale == 0 {
-		c.SyncStale = 3 * c.SyncEvery
-	}
-}
-
-type syncSample struct {
-	value uint32
-	count uint32
-	at    time.Duration
 }
 
 // Controller is the per-switch mode-change PPM. It must be installed at
@@ -85,11 +70,6 @@ type Controller struct {
 	leaseFloor  time.Duration
 	changeTimes []time.Duration
 
-	// Distributed detection: local metric providers and remote views.
-	metrics  map[uint8]func() uint32
-	view     map[uint8]map[packet.Addr]syncSample
-	lastSync time.Duration
-
 	// OnChange, if set, observes applied transitions (experiments hook
 	// this to measure mode-change latency).
 	OnChange func(m dataplane.ModeID, active bool, now time.Duration)
@@ -108,27 +88,20 @@ func NewController(self topo.NodeID, setMode func(dataplane.ModeID, bool),
 	return &Controller{
 		cfg: cfg, self: self, setMode: setMode, seen: seen,
 		activatedAt: make(map[dataplane.ModeID]time.Duration),
-		metrics:     make(map[uint8]func() uint32),
-		view:        make(map[uint8]map[packet.Addr]syncSample),
 	}
 }
 
 // Name implements PPM.
 func (c *Controller) Name() string { return fmt.Sprintf("modectl@%d", c.self) }
 
-// ResetRun implements dataplane.RunResettable: leases, budgets, sync views,
-// sequence numbers, and counters rewind to their just-built state. The
-// OnChange hook survives (the fabric wires it once, at build); registered
-// metrics clear, because detectors register them after the fabric exists
-// and will re-register on the next run's setup.
+// ResetRun implements dataplane.RunResettable: leases, budgets, sequence
+// numbers, and counters rewind to their just-built state. The OnChange hook
+// survives (the fabric wires it once, at build).
 func (c *Controller) ResetRun() {
 	c.seq = 0
 	clear(c.activatedAt)
 	c.leaseFloor = 0
 	c.changeTimes = c.changeTimes[:0]
-	clear(c.metrics)
-	clear(c.view)
-	c.lastSync = 0
 	c.Activations, c.Clears, c.Suppressed, c.Expired = 0, 0, 0, 0
 }
 
@@ -143,19 +116,8 @@ func (c *Controller) Region() uint16 { return c.cfg.Region }
 // Process implements PPM.
 func (c *Controller) Process(ctx *dataplane.Context) dataplane.Verdict {
 	c.expire(ctx.Now)
-	p := ctx.Pkt
-	if p.Proto == packet.ProtoProbe {
-		switch p.Probe.Kind {
-		case packet.ProbeModeChange:
-			return c.handleModeChange(ctx)
-		case packet.ProbeSync:
-			return c.handleSync(ctx)
-		}
-		return dataplane.Continue
-	}
-	if c.cfg.SyncEvery > 0 && len(c.metrics) > 0 && ctx.Now-c.lastSync >= c.cfg.SyncEvery {
-		c.lastSync = ctx.Now
-		c.broadcastSync(ctx)
+	if p := ctx.Pkt; p.Proto == packet.ProtoProbe && p.Probe.Kind == packet.ProbeModeChange {
+		return c.handleModeChange(ctx)
 	}
 	return dataplane.Continue
 }
@@ -287,29 +249,23 @@ func (c *Controller) RequestClear(ctx *dataplane.Context, m dataplane.ModeID, re
 	c.emitProbe(ctx, m, region, true)
 }
 
+// emitProbe floods a mode-change probe from this switch with the next
+// sequence number (emissions leave after the pipeline pass).
 func (c *Controller) emitProbe(ctx *dataplane.Context, m dataplane.ModeID, region uint16, clear bool) {
-	pi := c.floodProbe(ctx, packet.ProbeModeChange)
-	pi.Mode = uint8(m)
-	pi.Region = region
-	pi.Clear = clear
-}
-
-// floodProbe emits a flood probe of the given kind from this switch, with
-// the next sequence number, and returns its header for the caller to fill
-// in the kind-specific fields (emissions leave after the pipeline pass).
-func (c *Controller) floodProbe(ctx *dataplane.Context, kind packet.ProbeKind) *packet.ProbeInfo {
 	c.seq++
 	pr := ctx.Pool.GetProbe()
 	pr.Src = packet.RouterAddr(int(c.self))
 	pr.Dst = packet.RouterAddr(0xFFFE)
 	pr.TTL = 64
 	pi := pr.Probe
-	pi.Kind = kind
+	pi.Kind = packet.ProbeModeChange
 	pi.Origin = pr.Src
 	pi.Seq = c.seq
 	pi.HopsLeft = c.cfg.ProbeHops
+	pi.Mode = uint8(m)
+	pi.Region = region
+	pi.Clear = clear
 	ctx.Emit(pr, -1)
-	return pi
 }
 
 // ActiveSince returns when the mode was locally activated; ok is false if
@@ -317,73 +273,4 @@ func (c *Controller) floodProbe(ctx *dataplane.Context, kind packet.ProbeKind) *
 func (c *Controller) ActiveSince(m dataplane.ModeID) (time.Duration, bool) {
 	at, ok := c.activatedAt[m]
 	return at, ok
-}
-
-// --- Distributed detection synchronization ---
-
-// RegisterMetric exposes a local detector counter (identified by id) for
-// periodic broadcast. Used for network-wide detection such as global rate
-// limits and network-wide heavy hitters (§3.3).
-func (c *Controller) RegisterMetric(id uint8, fn func() uint32) {
-	c.metrics[id] = fn
-}
-
-func (c *Controller) broadcastSync(ctx *dataplane.Context) {
-	// Sorted so sequence numbers and probe emission order are reproducible
-	// across runs regardless of metric registration history.
-	for _, id := range eventsim.SortedKeys(c.metrics) {
-		pi := c.floodProbe(ctx, packet.ProbeSync)
-		pi.Mode = id
-		pi.UtilMicro = c.metrics[id]()
-		pi.SyncCount = 1
-	}
-}
-
-func (c *Controller) handleSync(ctx *dataplane.Context) dataplane.Verdict {
-	pi := ctx.Pkt.Probe
-	if pi.Origin == packet.RouterAddr(int(c.self)) {
-		return dataplane.Consume
-	}
-	dup := c.seen(pi.Dedup())
-	id := pi.Mode
-	if c.view[id] == nil {
-		c.view[id] = make(map[packet.Addr]syncSample)
-	}
-	c.view[id][pi.Origin] = syncSample{value: pi.UtilMicro, count: pi.SyncCount, at: ctx.Now}
-	if !dup && pi.HopsLeft > 0 {
-		fl := ctx.Pool.Clone(ctx.Pkt)
-		fl.Probe.HopsLeft--
-		ctx.Emit(fl, -1)
-	}
-	return dataplane.Consume
-}
-
-// GlobalValue returns the sum of the metric across all fresh remote views
-// plus the local value. This is the primitive a global rate limiter builds
-// on.
-func (c *Controller) GlobalValue(id uint8, now time.Duration) uint64 {
-	var total uint64
-	if fn, ok := c.metrics[id]; ok {
-		total += uint64(fn())
-	}
-	//ffvet:ok summing samples is order-independent
-	for _, s := range c.view[id] {
-		if c.cfg.SyncStale == 0 || now-s.at <= c.cfg.SyncStale {
-			total += uint64(s.value)
-		}
-	}
-	return total
-}
-
-// PeerCount returns how many distinct remote detectors have fresh samples
-// for the metric.
-func (c *Controller) PeerCount(id uint8, now time.Duration) int {
-	n := 0
-	//ffvet:ok counting fresh samples is order-independent
-	for _, s := range c.view[id] {
-		if c.cfg.SyncStale == 0 || now-s.at <= c.cfg.SyncStale {
-			n++
-		}
-	}
-	return n
 }

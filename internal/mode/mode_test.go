@@ -240,47 +240,26 @@ func TestOnChangeHook(t *testing.T) {
 	}
 }
 
-// --- Distributed detection sync ---
-
-func TestSyncBroadcastAndAggregate(t *testing.T) {
-	r := newRig(1, Config{Region: 1, SyncEvery: 100 * time.Millisecond})
-	local := uint32(10)
-	r.c.RegisterMetric(7, func() uint32 { return local })
-
-	// Data packet past the sync gate triggers a broadcast.
-	ctx := ctxAt(200*time.Millisecond, dataPkt(), 0)
-	r.c.Process(ctx)
-	ems := ctx.Emissions()
-	if len(ems) != 1 || ems[0].Pkt.Probe.Kind != packet.ProbeSync {
-		t.Fatalf("no sync broadcast: %v", ems)
-	}
-	if ems[0].Pkt.Probe.UtilMicro != 10 || ems[0].Pkt.Probe.Mode != 7 {
-		t.Fatalf("sync payload wrong: %+v", ems[0].Pkt.Probe)
-	}
-
-	// Remote samples fold into the global view.
-	remote := &packet.Packet{
-		Src: packet.RouterAddr(5), Dst: packet.RouterAddr(0xFFFE), TTL: 64,
+// Probe kind 3 is reserved and no controller speaks it. Any host can send
+// one, so a controller must neither consume it, record it for dedup, nor
+// flood it on: it leaves to ordinary forwarding like any foreign kind.
+func TestSyncProbeNotConsumedOrReflooded(t *testing.T) {
+	r := newRig(1, Config{Region: 1})
+	sync := &packet.Packet{
+		Src: packet.HostAddr(5), Dst: packet.RouterAddr(0xFFFE), TTL: 64,
 		Proto: packet.ProtoProbe,
-		Probe: &packet.ProbeInfo{Kind: packet.ProbeSync, Origin: packet.RouterAddr(5),
-			Seq: 1, HopsLeft: 4, Mode: 7, UtilMicro: 32, SyncCount: 1},
+		Probe: &packet.ProbeInfo{Kind: packet.ProbeKind(3), Origin: packet.RouterAddr(5),
+			Seq: 1, HopsLeft: 4, Mode: 7, UtilMicro: 32},
 	}
-	rctx := ctxAt(250*time.Millisecond, remote, 3)
-	if v := r.c.Process(rctx); v != dataplane.Consume {
-		t.Fatal("sync probe not consumed")
+	ctx := ctxAt(250*time.Millisecond, sync, 3)
+	if v := r.c.Process(ctx); v != dataplane.Continue {
+		t.Fatalf("verdict = %v, want Continue", v)
 	}
-	if len(rctx.Emissions()) != 1 {
-		t.Fatal("sync probe not reflooded")
+	if ems := ctx.Emissions(); len(ems) != 0 {
+		t.Fatalf("controller re-flooded a sync probe: %v", ems)
 	}
-	if got := r.c.GlobalValue(7, 250*time.Millisecond); got != 42 {
-		t.Fatalf("global value = %d, want 42 (10 local + 32 remote)", got)
-	}
-	if r.c.PeerCount(7, 250*time.Millisecond) != 1 {
-		t.Fatal("peer count wrong")
-	}
-	// Stale samples age out (SyncStale = 300ms).
-	if got := r.c.GlobalValue(7, 2*time.Second); got != 10 {
-		t.Fatalf("stale sample still counted: %d", got)
+	if len(r.seen) != 0 {
+		t.Fatalf("controller recorded a sync probe for dedup: %v", r.seen)
 	}
 }
 

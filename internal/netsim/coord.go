@@ -21,7 +21,6 @@ const (
 	SiteRepurpose                   // state: end of a repurposing blackout
 	SiteSampler                     // metrics: throughput samplers
 	SiteTraceroute                  // netsim: traceroute reply timeouts
-	SiteReplicate                   // state: periodic state replication
 	SiteInstall                     // control: route install after the control latency
 	SiteHeartbeat                   // core: the telemetry heartbeat
 	SiteUtil                        // netsim: link-utilization windows

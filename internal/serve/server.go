@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -69,11 +70,19 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
+// decodeJobRequest decodes a POST /v1/jobs body strictly: an unknown field
+// is an error, not silently ignored.
+func decodeJobRequest(body io.Reader) (JobRequest, error) {
 	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	return req, err
+}
+
+func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

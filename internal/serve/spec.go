@@ -201,9 +201,13 @@ func (s *ScenarioSpec) validate() error {
 	if s.Shards < 0 || s.Shards > maxShards {
 		return badReqf("shards must be within [0, %d]", maxShards)
 	}
-	if s.Attack.StartSec < 0 || s.Attack.StopSec < 0 ||
-		s.Attack.ScoutEverySec < 0 || s.Attack.BotRateBps < 0 || s.UserRateBps < 0 {
+	if s.Attack.StartSec < 0 || s.Attack.StopSec < 0 || s.Attack.ScoutEverySec < 0 ||
+		s.Attack.BotRateBps < 0 || s.Attack.FlowsPerBot < 0 || s.Attack.TargetLinks < 0 ||
+		s.UserRateBps < 0 {
 		return badReqf("attack/traffic parameters must be >= 0")
+	}
+	if s.SampleEverySec < 0 || s.BaselinePeriodSec < 0 {
+		return badReqf("sample_every_sec and baseline_period_sec must be >= 0")
 	}
 	return nil
 }

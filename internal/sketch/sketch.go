@@ -1,8 +1,8 @@
 // Package sketch implements the probabilistic data structures the paper
 // identifies as shareable components across data plane defenses (§3.1):
-// count-min sketches, bloom filters, a HashPipe-style heavy-hitter table,
-// EWMA rate estimators, and a per-flow connection table. All structures are
-// sized explicitly in entries so the resource model can charge them against
+// count-min sketches, a HashPipe-style heavy-hitter table, EWMA rate
+// estimators, and a per-flow connection table. All structures are sized
+// explicitly in entries so the resource model can charge them against
 // switch SRAM budgets.
 package sketch
 
@@ -75,54 +75,8 @@ func (c *CountMin) Reset() {
 // Bytes returns the SRAM footprint charged by the resource model.
 func (c *CountMin) Bytes() int { return len(c.counters) * 8 }
 
-// Bloom is a blocked bloom filter over 64-bit item hashes.
-type Bloom struct {
-	bits []uint64
-	k    int
-	n    uint64 // bit count
-}
-
-// NewBloom returns a filter with nbits bits and k hash functions.
-func NewBloom(nbits, k int) *Bloom {
-	if nbits <= 0 || k <= 0 {
-		panic(fmt.Sprintf("sketch: invalid bloom params %d/%d", nbits, k))
-	}
-	words := (nbits + 63) / 64
-	return &Bloom{bits: make([]uint64, words), k: k, n: uint64(words * 64)}
-}
-
-// Add inserts the item.
-func (b *Bloom) Add(hash uint64) {
-	for i := 0; i < b.k; i++ {
-		bit := deriveHash(hash, i) % b.n
-		b.bits[bit/64] |= 1 << (bit % 64)
-	}
-}
-
-// Contains reports whether the item may have been added (no false
-// negatives; false positives at the usual bloom rate).
-func (b *Bloom) Contains(hash uint64) bool {
-	for i := 0; i < b.k; i++ {
-		bit := deriveHash(hash, i) % b.n
-		if b.bits[bit/64]&(1<<(bit%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Reset clears the filter.
-func (b *Bloom) Reset() {
-	for i := range b.bits {
-		b.bits[i] = 0
-	}
-}
-
-// Bytes returns the SRAM footprint.
-func (b *Bloom) Bytes() int { return len(b.bits) * 8 }
-
-// HeavyEntry is one slot of a HashPipe stage.
-type HeavyEntry struct {
+// heavyEntry is one slot of a HashPipe stage.
+type heavyEntry struct {
 	Hash  uint64
 	Count uint64
 	Valid bool
@@ -133,7 +87,7 @@ type HeavyEntry struct {
 // hash-indexed array; new items evict lighter entries stage by stage, so
 // heavy flows settle into the pipe while mice wash out.
 type HashPipe struct {
-	stages [][]HeavyEntry
+	stages [][]heavyEntry
 	width  int
 }
 
@@ -145,7 +99,7 @@ func NewHashPipe(stages, width int) *HashPipe {
 	}
 	hp := &HashPipe{width: width}
 	for i := 0; i < stages; i++ {
-		hp.stages = append(hp.stages, make([]HeavyEntry, width))
+		hp.stages = append(hp.stages, make([]heavyEntry, width))
 	}
 	return hp
 }
@@ -161,7 +115,7 @@ func (hp *HashPipe) Add(hash uint64) uint64 {
 		return e.Count
 	}
 	carry := *e
-	*e = HeavyEntry{Hash: hash, Count: 1, Valid: true}
+	*e = heavyEntry{Hash: hash, Count: 1, Valid: true}
 	if !carry.Valid {
 		return 1
 	}
@@ -195,39 +149,11 @@ func (hp *HashPipe) Estimate(hash uint64) uint64 {
 	return total
 }
 
-// Top returns up to k tracked entries with the largest counts, heaviest
-// first. Entries for the same hash in multiple stages are merged.
-func (hp *HashPipe) Top(k int) []HeavyEntry {
-	merged := make(map[uint64]uint64)
-	for _, st := range hp.stages {
-		for _, e := range st {
-			if e.Valid {
-				merged[e.Hash] += e.Count
-			}
-		}
-	}
-	out := make([]HeavyEntry, 0, len(merged))
-	for h, c := range merged {
-		out = append(out, HeavyEntry{Hash: h, Count: c, Valid: true})
-	}
-	// Insertion sort: k and the table are small.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && (out[j].Count > out[j-1].Count ||
-			(out[j].Count == out[j-1].Count && out[j].Hash < out[j-1].Hash)); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
 // Reset clears all stages.
 func (hp *HashPipe) Reset() {
 	for s := range hp.stages {
 		for i := range hp.stages[s] {
-			hp.stages[s][i] = HeavyEntry{}
+			hp.stages[s][i] = heavyEntry{}
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package state implements §3.4's dynamic-scaling machinery: snapshotting
 // dataplane register state, transferring it across the network in probe
 // packets protected by XOR-parity FEC (so the transfer survives packet
-// loss without a software controller in the loop), replicating critical
-// state, and repurposing switches with neighbor notification and fast
-// reroute masking the reconfiguration blackout.
+// loss without a software controller in the loop), and repurposing
+// switches with neighbor notification and fast reroute masking the
+// reconfiguration blackout.
 package state
 
 import (

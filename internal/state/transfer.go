@@ -4,10 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"time"
 
 	"fastflex/internal/dataplane"
-	"fastflex/internal/eventsim"
 	"fastflex/internal/netsim"
 	"fastflex/internal/packet"
 	"fastflex/internal/topo"
@@ -46,8 +44,8 @@ func (r *Receiver) Name() string { return fmt.Sprintf("state-recv@%d", r.self) }
 
 // ResetRun implements dataplane.RunResettable: in-flight reassembly sessions
 // and the completion counter clear, and the OnComplete hook detaches —
-// core.New leaves it nil, and anything hooked later (a Replicator, a test)
-// is scenario state the next run re-wires.
+// core.New leaves it nil, and anything hooked later (a test, a scenario) is
+// scenario state the next run re-wires.
 func (r *Receiver) ResetRun() {
 	clear(r.sessions)
 	r.OnComplete = nil
@@ -170,70 +168,4 @@ func ParseBundle(blob []byte) (map[string][]byte, error) {
 		blob = blob[nameLen+dataLen:]
 	}
 	return out, nil
-}
-
-// Replicator periodically snapshots a switch's stateful programs and ships
-// the bundle to a replica switch, so critical state survives switch
-// failure (§3.4). Restore the latest bundle with Latest().
-type Replicator struct {
-	net     *netsim.Network
-	src     topo.NodeID
-	replica topo.NodeID
-	id      uint16
-	cfg     FECConfig
-
-	latest   map[string][]byte
-	Shipped  uint64
-	Restored uint64
-}
-
-// NewReplicator wires periodic replication from src to replica every
-// period. The replica switch must have a Receiver installed; this
-// constructor hooks its OnComplete.
-func NewReplicator(n *netsim.Network, src, replica topo.NodeID, recv *Receiver,
-	id uint16, period time.Duration, cfg FECConfig) *Replicator {
-	r := &Replicator{net: n, src: src, replica: replica, id: id, cfg: cfg}
-	prev := recv.OnComplete
-	recv.OnComplete = func(origin topo.NodeID, stateID uint16, blob []byte) {
-		if origin == src && stateID == id {
-			if m, err := ParseBundle(blob); err == nil {
-				r.latest = m
-			}
-			return
-		}
-		if prev != nil {
-			prev(origin, stateID, blob)
-		}
-	}
-	eventsim.NewTicker(n.Eng, n.Owner(netsim.SiteReplicate), period, func() {
-		sw := n.Switch(src)
-		if sw == nil || sw.Reconfiguring {
-			return
-		}
-		snaps := sw.SnapshotAll()
-		if len(snaps) == 0 {
-			return
-		}
-		if _, err := Send(n, src, replica, id, SnapshotBundle(snaps), cfg); err == nil {
-			r.Shipped++
-		}
-	})
-	return r
-}
-
-// Latest returns the most recent replicated state map (nil before the
-// first completed shipment).
-func (r *Replicator) Latest() map[string][]byte { return r.latest }
-
-// RestoreTo loads the latest replica into a target switch's programs.
-func (r *Replicator) RestoreTo(target topo.NodeID) error {
-	if r.latest == nil {
-		return fmt.Errorf("state: no replica available")
-	}
-	sw := r.net.Switch(target)
-	if sw == nil {
-		return fmt.Errorf("state: node %d is not a switch", target)
-	}
-	r.Restored++
-	return sw.RestoreAll(r.latest)
 }

@@ -234,49 +234,3 @@ func TestRepurposeTransfersAndRestoresState(t *testing.T) {
 		t.Fatal("state not migrated back after repurpose")
 	}
 }
-
-func TestReplicatorShipsAndRestores(t *testing.T) {
-	g := topo.NewLinear(3)
-	n := netsim.New(g, netsim.DefaultConfig())
-	control.NewTEController(n, control.Config{}).InstallStatic()
-	RouterRoutesForSwitches(n)
-
-	det := booster.NewLFADetector(0, nil, func(topo.LinkID) float64 { return 0 }, booster.LFAConfig{})
-	if err := n.Switch(0).Install(dataplane.Program{PPM: det, Priority: dataplane.PriDetect, Modes: 1}); err != nil {
-		t.Fatal(err)
-	}
-	seed := &packet.Packet{Src: packet.HostAddr(5), Dst: packet.HostAddr(6),
-		Proto: packet.ProtoTCP, SrcPort: 9, DstPort: 80, PayloadLen: 10}
-	det.Process(&dataplane.Context{Now: time.Millisecond, Pkt: seed, InLink: 0, OutLink: -1})
-	want := det.Snapshot()
-
-	recv := NewReceiver(2, FECConfig{Parity: true})
-	if err := n.Switch(2).Install(dataplane.Program{PPM: recv, Priority: dataplane.PriControl, Modes: 1}); err != nil {
-		t.Fatal(err)
-	}
-	repl := NewReplicator(n, 0, 2, recv, 9, 200*time.Millisecond, FECConfig{Parity: true})
-	n.Run(time.Second)
-	if repl.Shipped < 3 {
-		t.Fatalf("shipped %d bundles, want ≥3 in 1s at 200ms", repl.Shipped)
-	}
-	if repl.Latest() == nil {
-		t.Fatal("no replica received")
-	}
-	if !bytes.Equal(repl.Latest()[det.Name()], want) {
-		t.Fatal("replica does not match source state")
-	}
-	// Failover: restore the replica onto a standby detector at switch 1.
-	standby := booster.NewLFADetector(0, nil, func(topo.LinkID) float64 { return 0 }, booster.LFAConfig{})
-	if err := n.Switch(1).Install(dataplane.Program{PPM: standby, Priority: dataplane.PriDetect, Modes: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := repl.RestoreTo(1); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(standby.Snapshot(), want) {
-		t.Fatal("failover restore mismatch")
-	}
-	if err := (&Replicator{net: n}).RestoreTo(1); err == nil {
-		t.Fatal("restore without replica accepted")
-	}
-}

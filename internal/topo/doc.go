@@ -1,9 +1,10 @@
 // Package topo models network topologies: switches, hosts, and capacitated
 // links, together with the path algorithms FastFlex's traffic engineering,
-// placement, and attack modules need (Dijkstra, k-shortest paths, link
-// criticality analysis) and builders for the topologies the paper evaluates
-// on (the Figure-2 topology, fat-trees, multi-region ISP variants, and
-// random graphs).
+// placement, and attack modules need (Dijkstra shortest paths and
+// shortest-path trees), the partitioner the sharded engine cuts graphs
+// with, and builders for the topologies the paper evaluates on (the
+// Figure-2 topology, fat-trees, multi-region ISP variants, and random
+// graphs).
 //
 // Layer (DESIGN.md §2): a leaf substrate — topo imports nothing else in
 // the module, and nearly everything above imports it.

@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"sort"
 )
 
 // NodeID identifies a node (switch or host) in a topology. IDs are dense
@@ -333,103 +332,6 @@ func (t *PathTree) PathTo(dst NodeID) (Path, bool) {
 	return Path{Links: links}, true
 }
 
-// KShortestPaths returns up to k loop-free paths from src to dst in
-// non-decreasing cost order (Yen's algorithm). It is the path inventory the
-// TE controller balances load across.
-func (g *Graph) KShortestPaths(src, dst NodeID, k int) []Path {
-	first, ok := g.ShortestPath(src, dst, nil)
-	if !ok || k < 1 {
-		return nil
-	}
-	result := []Path{first}
-	var candidates []Path
-	for len(result) < k {
-		prevPath := result[len(result)-1]
-		prevNodes := prevPath.Nodes(g)
-		for i := 0; i < len(prevPath.Links); i++ {
-			spurNode := prevNodes[i]
-			rootLinks := append([]LinkID(nil), prevPath.Links[:i]...)
-			banned := make(map[LinkID]bool)
-			for _, p := range result {
-				if hasPrefix(p.Links, rootLinks) && len(p.Links) > i {
-					banned[p.Links[i]] = true
-				}
-			}
-			// Ban links into root-path nodes to keep the spur loop-free.
-			rootSet := make(map[NodeID]bool)
-			for _, n := range prevNodes[:i] {
-				rootSet[n] = true
-			}
-			for _, l := range g.Links {
-				if rootSet[l.To] {
-					banned[l.ID] = true
-				}
-			}
-			spur, ok := g.ShortestPath(spurNode, dst, banned)
-			if !ok {
-				continue
-			}
-			total := Path{Links: append(append([]LinkID(nil), rootLinks...), spur.Links...)}
-			if !containsPath(result, total) && !containsPath(candidates, total) {
-				candidates = append(candidates, total)
-			}
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		sort.SliceStable(candidates, func(i, j int) bool {
-			ci, cj := candidates[i].Cost(g), candidates[j].Cost(g)
-			if ci != cj {
-				return ci < cj
-			}
-			return lessLinks(candidates[i].Links, candidates[j].Links)
-		})
-		result = append(result, candidates[0])
-		candidates = candidates[1:]
-	}
-	return result
-}
-
-func hasPrefix(p, prefix []LinkID) bool {
-	if len(p) < len(prefix) {
-		return false
-	}
-	for i := range prefix {
-		if p[i] != prefix[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsPath(ps []Path, q Path) bool {
-	for _, p := range ps {
-		if len(p.Links) != len(q.Links) {
-			continue
-		}
-		same := true
-		for i := range p.Links {
-			if p.Links[i] != q.Links[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return true
-		}
-	}
-	return false
-}
-
-func lessLinks(a, b []LinkID) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
 // Diameter returns the maximum finite hop-count shortest-path length between
 // switch pairs. Mode-change latency ablations sweep this.
 func (g *Graph) Diameter() int {
@@ -445,65 +347,6 @@ func (g *Graph) Diameter() int {
 		}
 	}
 	return max
-}
-
-// CriticalLinks ranks switch-to-switch links by how many host-to-victim
-// shortest paths traverse them, breaking ties by proximity to the victims.
-// This is exactly the information a Crossfire attacker extracts from
-// traceroute mapping: the few links near the target area that carry most of
-// a victim's traffic.
-func (g *Graph) CriticalLinks(victims []NodeID) []LinkID {
-	count := make(map[LinkID]int)
-	for _, src := range g.Hosts() {
-		for _, dst := range victims {
-			if src == dst {
-				continue
-			}
-			p, ok := g.ShortestPath(src, dst, nil)
-			if !ok {
-				continue
-			}
-			for _, lid := range p.Links {
-				l := g.Links[lid]
-				if g.Nodes[l.From].Kind == Switch && g.Nodes[l.To].Kind == Switch {
-					count[lid]++
-				}
-			}
-		}
-	}
-	// Distance from a link's head to the nearest victim edge switch:
-	// Crossfire prefers links in the target area.
-	dist := func(lid LinkID) int {
-		best := 1 << 30
-		for _, v := range victims {
-			target := v
-			if g.Nodes[v].Kind == Host {
-				target = g.HostEdgeSwitch(v)
-			}
-			if target < 0 {
-				continue
-			}
-			if p, ok := g.ShortestPath(g.Links[lid].To, target, nil); ok && len(p.Links) < best {
-				best = len(p.Links)
-			}
-		}
-		return best
-	}
-	ids := make([]LinkID, 0, len(count))
-	for lid := range count {
-		ids = append(ids, lid)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if count[ids[i]] != count[ids[j]] {
-			return count[ids[i]] > count[ids[j]]
-		}
-		di, dj := dist(ids[i]), dist(ids[j])
-		if di != dj {
-			return di < dj
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
 }
 
 // Connected reports whether every node can reach every other node.
