@@ -42,7 +42,7 @@ func main() {
 	queue := flag.Int("queue", 64, "queued-job bound (beyond it, 429)")
 	timeout := flag.Duration("timeout", 10*time.Minute, "per-job wall-clock ceiling")
 	shards := flag.Int("shards", 1, "engine worker count for registry fig3, fig3x, fig3f and a6; results are identical for every value")
-	pool := flag.Int("pool", 32, "idle warm-fabric pool entries")
+	pool := flag.Int("pool", 32, "idle warm-fabric pool entries (an idle Figure-2 FastFlex fabric retains ~4 MB of heap, a multiregion 2x6 one ~7.6 MB)")
 	maxJobs := flag.Int("max-jobs", 1024, "retained finished-job records")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "shutdown grace for in-flight jobs")
 	flag.Parse()

@@ -731,3 +731,65 @@ func TestRerouteFlowletMaxAge(t *testing.T) {
 		t.Fatalf("gap-less flow never re-decided: egress %d", got)
 	}
 }
+
+// TestFlowletTableStorageFollowsFlows pins the flowlet table's host memory:
+// entries grow with the flows recorded, at most doubling past them and
+// never past the capacity; a full-table evictStale after growth keeps
+// exactly the live flowlets findable; and a reset table that records the
+// same flows again allocates nothing.
+func TestFlowletTableStorageFollowsFlows(t *testing.T) {
+	const capacity = 4096
+	key := func(k int) packet.FlowKey { return botPacket(k%1000, packet.HostAddr(7), uint16(k/1000)).Key() }
+	record := func(tb *flowletTable, k int, now time.Duration) {
+		kk := key(k)
+		slot, e := tb.find(kk, kk.TableHash())
+		if e != nil {
+			t.Fatalf("flow %d already recorded", k)
+		}
+		tb.insert(slot, flowletEntry{key: kk, via: topo.LinkID(k), firstSeen: now, lastSeen: now})
+	}
+	tb := newFlowletTable(capacity)
+	for k := 0; k < capacity; k++ {
+		record(&tb, k, time.Duration(k)*time.Millisecond)
+		if c := cap(tb.entries); c > max(initialFlowlets, 2*(k+1)) || c > capacity {
+			t.Fatalf("after %d flows: storage for %d entries, want <= min(max(%d, %d), %d)",
+				k+1, c, initialFlowlets, 2*(k+1), capacity)
+		}
+	}
+	// Full table: every flow older than the timeout goes, every newer one
+	// stays where find looks for it.
+	now, timeout := time.Duration(capacity)*time.Millisecond, time.Duration(capacity/4)*time.Millisecond
+	tb.evictStale(now, timeout)
+	alive := 0
+	for k := 0; k < capacity; k++ {
+		kk := key(k)
+		_, e := tb.find(kk, kk.TableHash())
+		live := now-time.Duration(k)*time.Millisecond < timeout
+		if (e != nil) != live || e != nil && e.via != topo.LinkID(k) {
+			t.Fatalf("flow %d after evictStale: entry %+v, want live=%v", k, e, live)
+		}
+		if live {
+			alive++
+		}
+	}
+	if tb.len() != alive {
+		t.Fatalf("len after evictStale = %d, want %d", tb.len(), alive)
+	}
+	// The freed entries take fresh flows without growing storage.
+	before := cap(tb.entries)
+	for k := capacity; k < capacity+capacity/2; k++ {
+		record(&tb, k, now)
+	}
+	if cap(tb.entries) != before || tb.len() != alive+capacity/2 {
+		t.Fatalf("refill: storage %d (was %d), len %d", cap(tb.entries), before, tb.len())
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		tb.reset()
+		for k := 0; k < capacity; k++ {
+			record(&tb, k, 0)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("re-recording after reset: %v allocs, want 0", allocs)
+	}
+}

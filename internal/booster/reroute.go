@@ -108,13 +108,23 @@ type flowletEntry struct {
 // flowletTable is a fixed-capacity open-addressed map from flow key to
 // flowlet pin. It sits on the steering path of every data packet, where a
 // Go map would pay variable-length hashing plus bucket probing per
-// lookup. Slot values are entry index + 1; 0 marks an empty slot.
+// lookup. Slot values are entry index + 1; 0 marks an empty slot. The slot
+// array is sized for the full capacity up front; the entries behind it
+// start at initialFlowlets and double up to the capacity as flows arrive,
+// so a table holds host memory for the flows it saw, not for the ones it
+// could hold. A *flowletEntry from find is valid until the next insert.
 type flowletTable struct {
 	entries []flowletEntry
+	limit   int // capacity: entries never grows past it
 	free    []int32
 	slots   []int32
 	mask    uint64
 }
+
+// initialFlowlets is the entry storage a flowlet table starts with (or its
+// capacity, if smaller): the flowlets most reroute switches record over a
+// 30 s Figure-3 run, so a warm fabric re-runs with few regrowths.
+const initialFlowlets = 512
 
 func newFlowletTable(capacity int) flowletTable {
 	slots := 8
@@ -122,7 +132,8 @@ func newFlowletTable(capacity int) flowletTable {
 		slots *= 2
 	}
 	t := flowletTable{
-		entries: make([]flowletEntry, 0, capacity),
+		entries: make([]flowletEntry, 0, min(capacity, initialFlowlets)),
+		limit:   capacity,
 		slots:   make([]int32, slots),
 		mask:    uint64(slots - 1),
 	}
@@ -154,6 +165,13 @@ func (t *flowletTable) insert(slot uint64, e flowletEntry) {
 		t.free = t.free[:ln-1]
 		t.entries[idx] = e
 	} else {
+		if len(t.entries) == cap(t.entries) {
+			// Doubling up to the capacity: the caller's len() check keeps
+			// len(entries) below limit whenever no index is free.
+			grown := make([]flowletEntry, len(t.entries), min(2*cap(t.entries), t.limit))
+			copy(grown, t.entries)
+			t.entries = grown
+		}
 		idx = int32(len(t.entries))
 		t.entries = append(t.entries, e)
 	}

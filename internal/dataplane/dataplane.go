@@ -263,9 +263,11 @@ func (s *Switch) DedupEvictions() uint64 { return s.seen.Evictions() }
 //
 // The loop is the per-packet hot path of the whole simulator: it indexes a
 // flat slice of verdict-returning step functions compiled for the current
-// mode set (pipeline.go), so there is no per-packet mode-gate evaluation,
-// no map access, and no interface dispatch — mirroring how RMT hardware
-// runs a compiled match-action program rather than interpreting one.
+// mode set (pipeline.go), so there is no per-packet mode-gate evaluation
+// and no map access — mirroring how RMT hardware runs a compiled
+// match-action program rather than interpreting one. Each step is an
+// interface method value, so every stage still dispatches through the PPM
+// interface.
 //
 //ffvet:hotpath
 func (s *Switch) Process(ctx *Context) Verdict {

@@ -8,18 +8,22 @@ package dataplane
 // at program-compile time, by staging a concrete match-action pipeline.
 // Here the equivalent: whenever the mode set changes (an RTT-timescale
 // event, §3.2) the switch compiles the programs that are active under that
-// mode set into a flat []pipelineStep of bound method values. The per-packet
-// loop in Switch.Process then makes plain func-value calls: no mode-gate
-// evaluation, no map access, no interface method dispatch.
+// mode set into a flat []pipelineStep of method values. The per-packet loop
+// in Switch.Process then makes one func-value call per stage: no mode-gate
+// evaluation and no map access. Each step is an interface method value
+// (p.PPM.Process), so every stage still dispatches through the PPM
+// interface, behind the one wrapper Go shares for all of them; binding each
+// stage to its concrete method measured within noise (ROADMAP item 10).
 //
 // Compilations are cached per ModeSet, so a mode flapping on and off (the
 // common attack-on/attack-off cycle of Figure 3) compiles twice total, not
 // twice per flap. Install/Uninstall changes what any mode set means, so it
 // bumps the epoch and drops the whole cache.
 
-// pipelineStep is one compiled stage: the PPM's Process bound to its
-// receiver at compile time. A struct (rather than a bare func type) keeps
-// room for per-stage metadata without touching the hot loop's call shape.
+// pipelineStep is one compiled stage: the interface method value of the
+// PPM's Process, its receiver fixed at compile time. A struct (rather than a
+// bare func type) keeps room for per-stage metadata without touching the
+// hot loop's call shape.
 type pipelineStep struct {
 	run func(*Context) Verdict
 }

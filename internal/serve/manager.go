@@ -25,6 +25,10 @@ type Config struct {
 	// request may lower it via timeout_sec, never raise it.
 	DefaultTimeout time.Duration
 	// PoolSize bounds the engine pool's idle warm fabrics (default 32).
+	// Each idle fabric retains heap in proportion to its topology and to
+	// the flows its last run saw: ~4 MB for a Figure-2 FastFlex fabric
+	// after a short job, ~7.6 MB for a multiregion 2x6 one (OPERATIONS.md,
+	// "Memory").
 	PoolSize int
 	// MaxJobs bounds retained finished-job records (default 1024); the
 	// oldest finished jobs are evicted first.

@@ -20,6 +20,14 @@ const (
 	maxRegionSize = 64
 	maxShards     = 16
 	maxHorizon    = time.Hour
+	// maxPeriodTicks bounds how often a periodic scenario parameter
+	// (sampling, baseline TE recomputation, attacker scouting) may fire
+	// over the run: the default 1 s sampling at the horizon cap. A
+	// shorter period asks a worker for proportionally more result rows,
+	// TE solves or traceroute rounds.
+	maxPeriodTicks = 3600
+	// defaultHorizon is Figure3Config's horizon when duration_sec is 0.
+	defaultHorizon = 120 * time.Second
 )
 
 // JobRequest is the body of POST /v1/jobs: exactly one of Experiment
@@ -208,6 +216,23 @@ func (s *ScenarioSpec) validate() error {
 	}
 	if s.SampleEverySec < 0 || s.BaselinePeriodSec < 0 {
 		return badReqf("sample_every_sec and baseline_period_sec must be >= 0")
+	}
+	horizon := s.DurationSec
+	if horizon == 0 {
+		horizon = defaultHorizon.Seconds()
+	}
+	for _, p := range []struct {
+		name string
+		sec  float64
+	}{
+		{"sample_every_sec", s.SampleEverySec},
+		{"baseline_period_sec", s.BaselinePeriodSec},
+		{"attack.scout_every_sec", s.Attack.ScoutEverySec},
+	} {
+		if p.sec > 0 && horizon/p.sec > maxPeriodTicks {
+			return badReqf("%s must be >= %g for a %g s horizon (at most %d periods per run)",
+				p.name, horizon/maxPeriodTicks, horizon, maxPeriodTicks)
+		}
 	}
 	return nil
 }

@@ -41,16 +41,22 @@ func (s *FlowState) RateBps() float64 {
 // FlowTable is a fixed-capacity connection table with LRU eviction,
 // modeling the bounded per-flow state an ASIC stage can hold.
 //
-// The index is an open-addressed hash table over preallocated nodes
-// rather than a Go map: Observe runs once per packet inside detector
-// PPMs, and linear probing over a half-loaded power-of-two slot array
-// costs one predictable cache line in the common case where a runtime
-// map pays hashing plus bucket-group probing. Node storage never moves,
-// so *FlowState pointers handed out by Observe stay valid for the
-// table's lifetime.
+// The index is an open-addressed hash table rather than a Go map: Observe
+// runs once per packet inside detector PPMs, and linear probing over a
+// half-loaded power-of-two slot array costs one predictable cache line in
+// the common case where a runtime map pays hashing plus bucket-group
+// probing. The slot array is sized for the full capacity at construction,
+// so probe sequences never depend on how many flows a run has seen. Node
+// storage, which holds the flows themselves, starts at initialFlowNodes and
+// doubles up to the capacity as fresh flows arrive: the hardware table is
+// provisioned in full (Bytes), the host memory behind it only as far as a
+// run fills it. Reset keeps grown storage, so a warm table re-runs without
+// regrowing. Growth moves the nodes, so a *FlowState returned by Observe or
+// Lookup stays valid only until the next Observe that inserts a flow, or
+// the next Delete or Reset.
 type FlowTable struct {
 	cap   int
-	nodes []flowNode // fixed backing store, len == cap
+	nodes []flowNode // backing store, grown by doubling up to cap
 	free  []int32    // recycled node indices, LIFO
 	used  int
 	slots []int32 // open-addressed index: node index + 1, 0 = empty
@@ -60,6 +66,12 @@ type FlowTable struct {
 	evils uint64    // eviction counter, exported via Evictions
 }
 
+// initialFlowNodes is the node storage a table starts with (or its
+// capacity, if smaller): the flows most LFA detectors track over a 30 s
+// Figure-3 run, so a warm fabric re-runs with few regrowths. Starting
+// smaller saves little more and moves the doubling into the first runs.
+const initialFlowNodes = 512
+
 type flowNode struct {
 	state      FlowState
 	idx        int32 // position in nodes, for the free list
@@ -67,7 +79,11 @@ type flowNode struct {
 }
 
 // NewFlowTable returns a table holding at most capacity flows.
-func NewFlowTable(capacity int) *FlowTable {
+func NewFlowTable(capacity int) *FlowTable { return newFlowTable(capacity, initialFlowNodes) }
+
+// newFlowTable is NewFlowTable with node storage starting at initial nodes
+// (at most capacity; initial must be positive).
+func newFlowTable(capacity, initial int) *FlowTable {
 	if capacity <= 0 {
 		panic("sketch: flow table capacity must be positive")
 	}
@@ -78,7 +94,7 @@ func NewFlowTable(capacity int) *FlowTable {
 	}
 	return &FlowTable{
 		cap:   capacity,
-		nodes: make([]flowNode, capacity),
+		nodes: make([]flowNode, min(capacity, initial)),
 		slots: make([]int32, slots),
 		mask:  uint64(slots - 1),
 	}
@@ -112,24 +128,7 @@ func (t *FlowTable) Observe(p *packet.Packet, now time.Duration) *FlowState {
 		n = &t.nodes[s-1]
 		t.moveFront(n)
 	} else {
-		if t.used >= t.cap {
-			t.evict()
-			// Eviction backshifts slots, so k's probe position may move.
-			i = t.findSlot(k, h)
-		}
-		var idx int32
-		if ln := len(t.free); ln > 0 {
-			idx = t.free[ln-1]
-			t.free = t.free[:ln-1]
-		} else {
-			idx = int32(t.used)
-		}
-		t.used++
-		n = &t.nodes[idx]
-		n.state = FlowState{Key: k, FirstSeen: now}
-		n.idx = idx
-		t.slots[i] = idx + 1
-		t.pushFront(n)
+		n = t.insert(k, h, i, now)
 	}
 	s := &n.state
 	s.LastSeen = now
@@ -147,6 +146,37 @@ func (t *FlowTable) Observe(p *packet.Packet, now time.Duration) *FlowState {
 		}
 	}
 	return s
+}
+
+// insert starts tracking flow k (table hash h) first seen at now, in the
+// empty slot i that findSlot returned for it, evicting the least recently
+// used flow when the table is full. It is kept out of line so the per-packet
+// hit path in Observe carries none of its calls.
+//
+//go:noinline
+func (t *FlowTable) insert(k packet.FlowKey, h, i uint64, now time.Duration) *flowNode {
+	if t.used >= t.cap {
+		t.evict()
+		// Eviction backshifts slots, so k's probe position may move.
+		i = t.findSlot(k, h)
+	}
+	var idx int32
+	if ln := len(t.free); ln > 0 {
+		idx = t.free[ln-1]
+		t.free = t.free[:ln-1]
+	} else {
+		idx = int32(t.used)
+		if int(idx) == len(t.nodes) {
+			t.grow()
+		}
+	}
+	t.used++
+	n := &t.nodes[idx]
+	n.state = FlowState{Key: k, FirstSeen: now}
+	n.idx = idx
+	t.slots[i] = idx + 1
+	t.pushFront(n)
+	return n
 }
 
 // Lookup returns the state for a key without touching recency, or nil.
@@ -214,6 +244,25 @@ func (t *FlowTable) Reset() {
 // charged whether or not slots are occupied — hardware tables are
 // statically provisioned.
 func (t *FlowTable) Bytes() int { return t.cap * 64 }
+
+// grow doubles node storage, up to the capacity. It runs only when every
+// node is live (no free index, used == len(nodes)), so one pass re-points
+// each copied link, and head and tail, into the new array.
+func (t *FlowTable) grow() {
+	nodes := make([]flowNode, min(2*len(t.nodes), t.cap))
+	copy(nodes, t.nodes)
+	for i := range t.nodes {
+		n := &nodes[i]
+		if n.prev != nil {
+			n.prev = &nodes[n.prev.idx]
+		}
+		if n.next != nil {
+			n.next = &nodes[n.next.idx]
+		}
+	}
+	t.head, t.tail = &nodes[t.head.idx], &nodes[t.tail.idx]
+	t.nodes = nodes
+}
 
 func (t *FlowTable) evict() {
 	if t.tail == nil {

@@ -218,3 +218,72 @@ func TestFlowTableObserveMatchesRehash(t *testing.T) {
 		t.Fatalf("pool allocated %d packets; the memo path was not exercising reuse", pool.News)
 	}
 }
+
+// flowPkt is a packet of the k-th of up to 64k distinct flows.
+func flowPkt(k int) *packet.Packet { return tcpPkt(k%1000, 100, uint16(k/1000), packet.FlagACK, 100) }
+
+// TestFlowTableStorageFollowsFlows pins the host-memory side of the table:
+// node storage grows with the distinct flows seen, at most doubling past
+// them, and never past the capacity; the modeled SRAM stays the full
+// table whatever a run touched.
+func TestFlowTableStorageFollowsFlows(t *testing.T) {
+	const capacity = 4096
+	ft := NewFlowTable(capacity)
+	for k := 1; k <= capacity+500; k++ {
+		ft.Observe(flowPkt(k), time.Duration(k)*time.Millisecond)
+		if n := len(ft.nodes); n > max(initialFlowNodes, 2*k) || n > capacity {
+			t.Fatalf("after %d flows: %d nodes, want <= min(max(%d, %d), %d)",
+				k, n, initialFlowNodes, 2*k, capacity)
+		}
+	}
+	if ft.Len() != capacity || ft.Evictions() != 500 {
+		t.Fatalf("Len %d Evictions %d, want %d and 500", ft.Len(), ft.Evictions(), capacity)
+	}
+	if ft.Bytes() != capacity*64 {
+		t.Fatalf("Bytes() = %d, want the full provisioned table %d", ft.Bytes(), capacity*64)
+	}
+}
+
+// TestFlowTableResetKeepsStorage: a warm table that is Reset and sees the
+// same flows again allocates nothing, because Reset keeps grown storage.
+func TestFlowTableResetKeepsStorage(t *testing.T) {
+	const flows = 3 * initialFlowNodes
+	pkts := make([]*packet.Packet, flows)
+	for k := range pkts {
+		pkts[k] = flowPkt(k)
+		pkts[k].Flow() // memoize, as a forwarded packet has
+	}
+	ft := NewFlowTable(4096)
+	for _, p := range pkts {
+		ft.Observe(p, 0)
+	}
+	grown := len(ft.nodes)
+	allocs := testing.AllocsPerRun(20, func() {
+		ft.Reset()
+		for i, p := range pkts {
+			ft.Observe(p, time.Duration(i))
+		}
+	})
+	if allocs != 0 || len(ft.nodes) != grown || ft.Len() != flows {
+		t.Fatalf("re-run after Reset: %v allocs, %d nodes (grown %d), %d flows; want 0 allocs and storage kept",
+			allocs, len(ft.nodes), grown, ft.Len())
+	}
+}
+
+// BenchmarkFlowTableObserveHit is the per-packet cost of a detector's
+// table on established flows: 300 live flows in a 4096-flow table, every
+// observation a hit (probe, LRU move to front, counter update).
+func BenchmarkFlowTableObserveHit(b *testing.B) {
+	const flows = 300
+	ft := NewFlowTable(4096)
+	pkts := make([]*packet.Packet, flows)
+	for k := range pkts {
+		pkts[k] = tcpPkt(k, 100, uint16(k), packet.FlagACK, 100)
+		ft.Observe(pkts[k], 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ft.Observe(pkts[i%flows], time.Duration(i))
+	}
+}
