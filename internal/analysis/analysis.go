@@ -104,12 +104,3 @@ func Run(root string) (*Report, error) {
 	}
 	return r, nil
 }
-
-// RunAll is the historical entry point: findings only.
-func RunAll(root string) ([]Diagnostic, error) {
-	r, err := Run(root)
-	if err != nil {
-		return nil, err
-	}
-	return r.Diags, nil
-}

@@ -442,6 +442,3 @@ func (a *Crossfire) Target() HopPair {
 
 // Targets returns all current target pairs.
 func (a *Crossfire) Targets() []HopPair { return a.targets }
-
-// Traces exposes the latest reconnaissance results (tests and reports).
-func (a *Crossfire) Traces() map[flowKey][]packet.Addr { return a.traces }

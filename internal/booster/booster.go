@@ -1,10 +1,6 @@
 package booster
 
-import (
-	"fastflex/internal/dataplane"
-	"fastflex/internal/packet"
-	"fastflex/internal/topo"
-)
+import "fastflex/internal/dataplane"
 
 // Defense modes of the LFA case study and the DDoS example. Modes are
 // cumulative and co-exist in a switch's mode set: detection is part of the
@@ -60,15 +56,3 @@ type Alarm struct {
 // protocol (internal/mode) is the usual sink: it converts alarms into
 // mode-change probes emitted through the same pipeline context.
 type AlarmFunc func(ctx *dataplane.Context, a Alarm)
-
-// EdgeSwitchMap maps every host address to its edge switch, the destination
-// identifier the rerouting booster steers by.
-func EdgeSwitchMap(g *topo.Graph) map[packet.Addr]topo.NodeID {
-	m := make(map[packet.Addr]topo.NodeID)
-	for _, h := range g.Hosts() {
-		if sw := g.HostEdgeSwitch(h); sw >= 0 {
-			m[packet.HostAddr(int(h))] = sw
-		}
-	}
-	return m
-}

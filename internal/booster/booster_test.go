@@ -7,6 +7,7 @@ import (
 
 	"fastflex/internal/dataplane"
 	"fastflex/internal/packet"
+	"fastflex/internal/sketch"
 	"fastflex/internal/topo"
 )
 
@@ -344,8 +345,7 @@ func newRerouteRig(cfg RerouteConfig) *rerouteRig {
 	victim := f.G.AttachHost(f.VictimEdge, "v", topo.DefaultHostBPS, topo.DefaultHostDelay)
 	_ = victim
 	rig := &rerouteRig{f: f, utils: map[topo.LinkID]float64{}, seen: map[packet.DedupKey]bool{}}
-	rig.r = NewReroute(f.CoreA, f.G, EdgeSwitchMap(f.G),
-		func(l topo.LinkID) float64 { return rig.utils[l] },
+	rig.r = NewReroute(f.CoreA, f.G, func(l topo.LinkID) float64 { return rig.utils[l] },
 		func(k packet.DedupKey) bool {
 			if rig.seen[k] {
 				return true
@@ -358,7 +358,7 @@ func newRerouteRig(cfg RerouteConfig) *rerouteRig {
 
 // feedProbe delivers a util probe from the victim edge arriving over link
 // `in` (a link pointing INTO CoreA).
-func (rig *rerouteRig) feedProbe(t *testing.T, in topo.LinkID, utilMicro uint32, seq uint32, now time.Duration) *dataplane.Context {
+func (rig *rerouteRig) feedProbe(t testing.TB, in topo.LinkID, utilMicro uint32, seq uint32, now time.Duration) *dataplane.Context {
 	t.Helper()
 	p := &packet.Packet{
 		Src: packet.RouterAddr(int(rig.f.VictimEdge)), Dst: packet.RouterAddr(0xFFFE),
@@ -554,9 +554,11 @@ func TestRerouteNeverBouncesBack(t *testing.T) {
 	// Only known route to victim is back out the ingress we came from.
 	inFromIngress := g.LinkBetween(rig.f.IngressA, rig.f.CoreA)
 	backToIngress := g.Links[inFromIngress].Reverse
-	rig.r.table[rig.f.VictimEdge] = map[topo.LinkID]rerouteEntry{
-		backToIngress: {util: 0.0, at: 0},
+	e := rig.r.entry(rig.f.VictimEdge, backToIngress)
+	if e == nil {
+		t.Fatal("no table entry for the ingress egress")
 	}
+	*e = rerouteEntry{util: 0.0, at: 0}
 	p := botPacket(1, rig.victimAddr(), 1000)
 	p.Suspicion = SuspicionLow
 	ctx := mkCtx(time.Millisecond, p, inFromIngress, dataplane.ModeSet(0).With(ModeReroute))
@@ -630,21 +632,65 @@ func TestHeavyHitterClearsAfterQuietEpochs(t *testing.T) {
 	}
 }
 
-// --- Edge switch map ---
+// --- Reroute destinations ---
 
-func TestEdgeSwitchMap(t *testing.T) {
+// TestRerouteEdgeSwitches: the booster steers by the edge switch of a
+// packet's destination host, which it reads off the graph.
+func TestRerouteEdgeSwitches(t *testing.T) {
 	f := topo.NewFigure2()
 	users := f.AttachUsers(2)
 	servers := f.AttachServers(1)
-	m := EdgeSwitchMap(f.G)
-	if m[packet.HostAddr(int(users[0]))] != f.IngressA {
+	r := NewReroute(f.CoreA, f.G, func(topo.LinkID) float64 { return 0 }, nil, RerouteConfig{})
+	if r.dstSwitch[users[0]] != f.IngressA {
 		t.Fatal("user 0 edge switch wrong")
 	}
-	if m[packet.HostAddr(int(servers[0]))] != f.VictimEdge {
+	if r.dstSwitch[servers[0]] != f.VictimEdge {
 		t.Fatal("server edge switch wrong")
 	}
-	if len(m) != 3 {
-		t.Fatalf("map size = %d", len(m))
+	hosts := 0
+	for _, sw := range r.dstSwitch {
+		if sw >= 0 {
+			hosts++
+		}
+	}
+	if hosts != 3 {
+		t.Fatalf("%d destinations with an edge switch, want 3", hosts)
+	}
+}
+
+// TestRerouteEmptyTableHasNoPath: before any probe, no register reads as a
+// fresh idle path, even while now is inside StaleAfter of time zero.
+func TestRerouteEmptyTableHasNoPath(t *testing.T) {
+	rig := newRerouteRig(RerouteConfig{})
+	if via, u, ok := rig.r.BestVia(rig.f.VictimEdge, time.Millisecond, -1); ok {
+		t.Fatalf("empty table: BestVia = %d (util %v), want no path", via, u)
+	}
+}
+
+// TestRerouteIgnoresForeignDestination: a utilization probe naming a switch
+// outside the table is consumed without panicking, recording or reflooding.
+func TestRerouteIgnoresForeignDestination(t *testing.T) {
+	rig := newRerouteRig(RerouteConfig{})
+	in := rig.f.G.Links[rig.f.CriticalLinkA].Reverse
+	p := &packet.Packet{
+		Src: packet.RouterAddr(int(rig.f.VictimEdge)), Dst: packet.RouterAddr(0xFFFE),
+		TTL: 60, Proto: packet.ProtoProbe,
+		Probe: &packet.ProbeInfo{
+			Kind: packet.ProbeUtil, Origin: packet.RouterAddr(int(rig.f.VictimEdge)),
+			Seq: 1, HopsLeft: 8, DstSwitch: 0xFFFF,
+		},
+	}
+	ctx := mkCtx(0, p, in, dataplane.ModeSet(0).With(ModeReroute))
+	if v := rig.r.Process(ctx); v != dataplane.Consume {
+		t.Fatalf("verdict = %v, want Consume", v)
+	}
+	if len(ctx.Emissions()) != 0 {
+		t.Fatalf("foreign probe reflooded: %d emissions", len(ctx.Emissions()))
+	}
+	for i, e := range rig.r.table {
+		if e.at != unset {
+			t.Fatalf("register %d written: %+v", i, e)
+		}
 	}
 }
 
@@ -732,61 +778,75 @@ func TestRerouteFlowletMaxAge(t *testing.T) {
 	}
 }
 
-// TestFlowletTableStorageFollowsFlows pins the flowlet table's host memory:
-// entries grow with the flows recorded, at most doubling past them and
-// never past the capacity; a full-table evictStale after growth keeps
-// exactly the live flowlets findable; and a reset table that records the
-// same flows again allocates nothing.
+// flowletRig is a reroute booster reduced to its flowlet table, with
+// storage starting at initial entries.
+func flowletRig(capacity, initial int, timeout time.Duration) *Reroute {
+	return &Reroute{
+		cfg:      RerouteConfig{FlowletTimeout: timeout, MaxFlowletAge: 2 * timeout},
+		flowlets: sketch.NewTable[flowlet](capacity, initial),
+	}
+}
+
+// findFlowlet is where flow k's flowlet sits, as the steering path probes for it.
+func (r *Reroute) findFlowlet(k packet.FlowKey) flowletAt {
+	at := flowletAt{key: k, hash: k.TableHash()}
+	at.slot, at.entry = r.flowlets.Find(at.key, at.hash)
+	return at
+}
+
+// TestFlowletTableStorageFollowsFlows pins the flowlet table as the
+// steering path uses it: records fill it across storage growth; on a full
+// table a new record first evicts exactly the stale flowlets, keeping the
+// live ones findable; a table full of live flowlets records nothing; and a
+// reset table that records the same flows again allocates nothing.
 func TestFlowletTableStorageFollowsFlows(t *testing.T) {
 	const capacity = 4096
 	key := func(k int) packet.FlowKey { return botPacket(k%1000, packet.HostAddr(7), uint16(k/1000)).Key() }
-	record := func(tb *flowletTable, k int, now time.Duration) {
-		kk := key(k)
-		slot, e := tb.find(kk, kk.TableHash())
-		if e != nil {
+	timeout := time.Duration(capacity/4) * time.Millisecond
+	r := flowletRig(capacity, sketch.InitialEntries, timeout)
+	record := func(k int, now time.Duration) {
+		at := r.findFlowlet(key(k))
+		if at.entry != nil {
 			t.Fatalf("flow %d already recorded", k)
 		}
-		tb.insert(slot, flowletEntry{key: kk, via: topo.LinkID(k), firstSeen: now, lastSeen: now})
+		r.recordFlowlet(at, topo.LinkID(k), now)
 	}
-	tb := newFlowletTable(capacity)
 	for k := 0; k < capacity; k++ {
-		record(&tb, k, time.Duration(k)*time.Millisecond)
-		if c := cap(tb.entries); c > max(initialFlowlets, 2*(k+1)) || c > capacity {
-			t.Fatalf("after %d flows: storage for %d entries, want <= min(max(%d, %d), %d)",
-				k+1, c, initialFlowlets, 2*(k+1), capacity)
-		}
+		record(k, time.Duration(k)*time.Millisecond)
 	}
-	// Full table: every flow older than the timeout goes, every newer one
-	// stays where find looks for it.
-	now, timeout := time.Duration(capacity)*time.Millisecond, time.Duration(capacity/4)*time.Millisecond
-	tb.evictStale(now, timeout)
+	if r.flowlets.Len() != capacity {
+		t.Fatalf("len = %d, want %d", r.flowlets.Len(), capacity)
+	}
+	// Full table: recording flow `capacity` sweeps every flowlet older than
+	// the timeout, and every newer one stays where the steering path looks.
+	now := time.Duration(capacity) * time.Millisecond
+	record(capacity, now)
 	alive := 0
 	for k := 0; k < capacity; k++ {
-		kk := key(k)
-		_, e := tb.find(kk, kk.TableHash())
+		e := r.findFlowlet(key(k)).entry
 		live := now-time.Duration(k)*time.Millisecond < timeout
 		if (e != nil) != live || e != nil && e.via != topo.LinkID(k) {
-			t.Fatalf("flow %d after evictStale: entry %+v, want live=%v", k, e, live)
+			t.Fatalf("flow %d after the sweep: entry %+v, want live=%v", k, e, live)
 		}
 		if live {
 			alive++
 		}
 	}
-	if tb.len() != alive {
-		t.Fatalf("len after evictStale = %d, want %d", tb.len(), alive)
+	if r.flowlets.Len() != alive+1 {
+		t.Fatalf("len after the sweep = %d, want %d", r.flowlets.Len(), alive+1)
 	}
-	// The freed entries take fresh flows without growing storage.
-	before := cap(tb.entries)
-	for k := capacity; k < capacity+capacity/2; k++ {
-		record(&tb, k, now)
+	// Refill with live flowlets; once full, a further flow is not recorded.
+	for k := capacity + 1; r.flowlets.Len() < capacity; k++ {
+		record(k, now)
 	}
-	if cap(tb.entries) != before || tb.len() != alive+capacity/2 {
-		t.Fatalf("refill: storage %d (was %d), len %d", cap(tb.entries), before, tb.len())
+	record(2*capacity, now)
+	if r.findFlowlet(key(2*capacity)).entry != nil || r.flowlets.Len() != capacity {
+		t.Fatalf("full live table recorded a flowlet: len %d", r.flowlets.Len())
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		tb.reset()
+		r.flowlets.Reset()
 		for k := 0; k < capacity; k++ {
-			record(&tb, k, 0)
+			record(k, 0)
 		}
 	})
 	if allocs != 0 {

@@ -57,8 +57,10 @@ type HeavyHitter struct {
 	cfg  HHConfig
 	self topo.NodeID
 
-	pipe       *sketch.HashPipe
-	banned     map[uint64]int // flow hash → epochs remaining
+	pipe *sketch.HashPipe
+	// banned holds each flagged flow's quiet epochs left before it is
+	// unbanned, in a table of Stages × Width flows.
+	banned     sketch.Table[int]
 	epochEnds  time.Duration
 	lastAssert time.Duration
 
@@ -77,7 +79,7 @@ func NewHeavyHitter(self topo.NodeID, cfg HHConfig) *HeavyHitter {
 		cfg:    cfg,
 		self:   self,
 		pipe:   sketch.NewHashPipe(cfg.Stages, cfg.Width),
-		banned: make(map[uint64]int),
+		banned: sketch.NewTable[int](cfg.Stages*cfg.Width, sketch.InitialEntries),
 	}
 }
 
@@ -103,7 +105,7 @@ func (h *HeavyHitter) Process(ctx *dataplane.Context) dataplane.Verdict {
 	if p.Proto != packet.ProtoTCP && p.Proto != packet.ProtoUDP {
 		return dataplane.Continue
 	}
-	key, _ := p.Flow()
+	key, th := p.Flow()
 	hash := key.Hash() // the sketch-row hash, not the table hash
 	if h.epochEnds == 0 {
 		h.epochEnds = ctx.Now + h.cfg.Epoch
@@ -112,12 +114,16 @@ func (h *HeavyHitter) Process(ctx *dataplane.Context) dataplane.Verdict {
 		h.rollEpoch(ctx)
 		h.epochEnds = ctx.Now + h.cfg.Epoch
 	}
-	count := h.pipe.Add(hash)
-	if count > h.cfg.ThresholdPkts {
-		if _, ok := h.banned[hash]; !ok {
+	slot, ban := h.banned.Find(key, th)
+	heavy := h.pipe.Add(hash) > h.cfg.ThresholdPkts
+	if heavy {
+		switch {
+		case ban != nil:
+			*ban = h.cfg.BanEpochs
+		case h.banned.Len() < h.banned.Cap(): // a full table records no new ban
+			h.banned.Insert(slot, key, h.cfg.BanEpochs)
 			h.Flagged++
 		}
-		h.banned[hash] = h.cfg.BanEpochs
 		if !h.active {
 			h.active = true
 			h.Alarms++
@@ -126,7 +132,7 @@ func (h *HeavyHitter) Process(ctx *dataplane.Context) dataplane.Verdict {
 			}
 		}
 	}
-	if _, ok := h.banned[hash]; ok && p.Suspicion < SuspicionHigh {
+	if (heavy || ban != nil) && p.Suspicion < SuspicionHigh {
 		p.Suspicion = SuspicionHigh
 	}
 	// Keep the network-wide DDoS mode asserted while flows remain banned
@@ -144,15 +150,11 @@ func (h *HeavyHitter) Process(ctx *dataplane.Context) dataplane.Verdict {
 // alarm clears.
 func (h *HeavyHitter) rollEpoch(ctx *dataplane.Context) {
 	h.pipe.Reset()
-	//ffvet:ok per-entry age/delete is order-independent
-	for hash, epochs := range h.banned {
-		if epochs <= 1 {
-			delete(h.banned, hash)
-		} else {
-			h.banned[hash] = epochs - 1
-		}
-	}
-	if h.active && len(h.banned) == 0 {
+	h.banned.Sweep(func(epochs *int) bool {
+		*epochs--
+		return *epochs > 0
+	})
+	if h.active && h.banned.Len() == 0 {
 		h.active = false
 		h.Clears++
 		if h.Alarm != nil {

@@ -6,6 +6,7 @@ import (
 
 	"fastflex/internal/dataplane"
 	"fastflex/internal/packet"
+	"fastflex/internal/sketch"
 	"fastflex/internal/topo"
 )
 
@@ -64,10 +65,15 @@ func (c *RerouteConfig) fillDefaults() {
 	}
 }
 
+// rerouteEntry is one register of the path table: the utilization last
+// advertised for a path and when. at is unset until a probe writes it, so an
+// empty register never reads as a fresh idle path.
 type rerouteEntry struct {
 	util float64
 	at   time.Duration
 }
+
+const unset time.Duration = -1
 
 // Reroute is the Hula/Contra-style performance-aware routing booster
 // (§4.1 "routing around congestion"): switches disseminate probes carrying
@@ -81,146 +87,92 @@ type Reroute struct {
 
 	linkUtil  func(topo.LinkID) float64
 	seenProbe func(packet.DedupKey) bool
-	// dstSwitch maps a destination host's dense node index to its edge
-	// switch (-1 = unknown); consulted per packet, so a slice, not a map.
+	// dstSwitch maps a destination host's node index to its edge switch
+	// (-1 = not a host).
 	dstSwitch []topo.NodeID
 
-	// table[dst switch][egress link] = advertised path utilization.
-	table     map[topo.NodeID]map[topo.LinkID]rerouteEntry
+	// ports are this switch's egress links toward other switches in
+	// link-ID order. table[dst*len(ports)+j] is the path utilization last
+	// advertised toward switch dst via ports[j], for dst < rows.
+	ports     []topo.LinkID
+	table     []rerouteEntry
+	rows      int
 	lastProbe time.Duration
 	seq       uint32
 
 	// flowlets pins flows to their current egress between bursts.
-	flowlets flowletTable
+	flowlets sketch.Table[flowlet]
 
 	Rerouted uint64 // packets steered off their TE egress
 	Probes   uint64 // probes originated
 	Flowlets uint64 // steering decisions reused from the flowlet table
 }
 
-type flowletEntry struct {
-	key       packet.FlowKey
-	via       topo.LinkID
-	firstSeen time.Duration
-	lastSeen  time.Duration
+// flowlet is a flow's pinned egress and the span of its current burst.
+type flowlet struct {
+	via                 topo.LinkID
+	firstSeen, lastSeen time.Duration
 }
 
-// flowletTable is a fixed-capacity open-addressed map from flow key to
-// flowlet pin. It sits on the steering path of every data packet, where a
-// Go map would pay variable-length hashing plus bucket probing per
-// lookup. Slot values are entry index + 1; 0 marks an empty slot. The slot
-// array is sized for the full capacity up front; the entries behind it
-// start at initialFlowlets and double up to the capacity as flows arrive,
-// so a table holds host memory for the flows it saw, not for the ones it
-// could hold. A *flowletEntry from find is valid until the next insert.
-type flowletTable struct {
-	entries []flowletEntry
-	limit   int // capacity: entries never grows past it
-	free    []int32
-	slots   []int32
-	mask    uint64
-}
-
-// initialFlowlets is the entry storage a flowlet table starts with (or its
-// capacity, if smaller): the flowlets most reroute switches record over a
-// 30 s Figure-3 run, so a warm fabric re-runs with few regrowths.
-const initialFlowlets = 512
-
-func newFlowletTable(capacity int) flowletTable {
-	slots := 8
-	for slots < 2*capacity {
-		slots *= 2
-	}
-	t := flowletTable{
-		entries: make([]flowletEntry, 0, min(capacity, initialFlowlets)),
-		limit:   capacity,
-		slots:   make([]int32, slots),
-		mask:    uint64(slots - 1),
-	}
-	return t
-}
-
-// find probes for k, whose table hash is h: the slot that holds it or the
-// empty slot where it belongs, and the entry when present.
-func (t *flowletTable) find(k packet.FlowKey, h uint64) (uint64, *flowletEntry) {
-	i := h & t.mask
-	for {
-		s := t.slots[i]
-		if s == 0 {
-			return i, nil
-		}
-		if e := &t.entries[s-1]; e.key == k {
-			return i, e
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// insert stores a new entry in the empty slot find returned for its key; the
-// caller has checked len() < capacity.
-func (t *flowletTable) insert(slot uint64, e flowletEntry) {
-	var idx int32
-	if ln := len(t.free); ln > 0 {
-		idx = t.free[ln-1]
-		t.free = t.free[:ln-1]
-		t.entries[idx] = e
-	} else {
-		if len(t.entries) == cap(t.entries) {
-			// Doubling up to the capacity: the caller's len() check keeps
-			// len(entries) below limit whenever no index is free.
-			grown := make([]flowletEntry, len(t.entries), min(2*cap(t.entries), t.limit))
-			copy(grown, t.entries)
-			t.entries = grown
-		}
-		idx = int32(len(t.entries))
-		t.entries = append(t.entries, e)
-	}
-	t.slots[slot] = idx + 1
-}
-
-func (t *flowletTable) len() int { return len(t.entries) - len(t.free) }
-
-// evictStale deletes every entry whose last packet is older than timeout.
-// Live entries are reinserted into a cleared slot array — simpler than
-// per-slot backshift deletion, and eviction only runs when the table
-// fills.
-func (t *flowletTable) evictStale(now, timeout time.Duration) {
-	for i := range t.slots {
-		t.slots[i] = 0
-	}
-	t.free = t.free[:0]
-	for i := range t.entries {
-		e := &t.entries[i]
-		if now-e.lastSeen >= timeout {
-			e.key = packet.FlowKey{}
-			t.free = append(t.free, int32(i))
-			continue
-		}
-		slot, _ := t.find(e.key, e.key.TableHash())
-		t.slots[slot] = int32(i) + 1
-	}
-}
-
-// NewReroute builds the rerouting booster for one switch.
-func NewReroute(self topo.NodeID, g *topo.Graph, dstSwitch map[packet.Addr]topo.NodeID,
-	linkUtil func(topo.LinkID) float64, seenProbe func(packet.DedupKey) bool, cfg RerouteConfig) *Reroute {
+// NewReroute builds the rerouting booster for one switch. The path table
+// has a row per switch ID of g and a column per egress toward a switch.
+func NewReroute(self topo.NodeID, g *topo.Graph, linkUtil func(topo.LinkID) float64,
+	seenProbe func(packet.DedupKey) bool, cfg RerouteConfig) *Reroute {
 	cfg.fillDefaults()
 	r := &Reroute{
 		cfg: cfg, self: self, g: g,
 		linkUtil: linkUtil, seenProbe: seenProbe,
-		table:    make(map[topo.NodeID]map[topo.LinkID]rerouteEntry),
-		flowlets: newFlowletTable(cfg.FlowletCapacity),
+		dstSwitch: make([]topo.NodeID, len(g.Nodes)),
+		flowlets:  sketch.NewTable[flowlet](cfg.FlowletCapacity, sketch.InitialEntries),
 	}
-	//ffvet:ok each key writes its own dense slot, so order cannot matter
-	for a, sw := range dstSwitch {
-		if n := a.Node(); n >= 0 {
-			for n >= len(r.dstSwitch) {
-				r.dstSwitch = append(r.dstSwitch, -1)
-			}
-			r.dstSwitch[n] = sw
+	for n := range r.dstSwitch {
+		r.dstSwitch[n] = g.HostEdgeSwitch(topo.NodeID(n))
+	}
+	for _, sw := range g.Switches() {
+		r.rows = max(r.rows, int(sw)+1)
+	}
+	for _, l := range g.Out(self) { // in link-ID order
+		if g.Nodes[g.Links[l].To].Kind == topo.Switch {
+			r.ports = append(r.ports, l)
 		}
 	}
+	r.table = make([]rerouteEntry, r.rows*len(r.ports))
+	r.clearTable()
 	return r
+}
+
+func (r *Reroute) clearTable() {
+	for i := range r.table {
+		r.table[i] = rerouteEntry{at: unset}
+	}
+}
+
+// row returns the table row toward switch dst, empty when dst is outside
+// the table.
+func (r *Reroute) row(dst topo.NodeID) []rerouteEntry {
+	if uint(dst) >= uint(r.rows) {
+		return nil
+	}
+	n := len(r.ports)
+	return r.table[int(dst)*n : int(dst)*n+n]
+}
+
+// entry returns the register for paths toward dst via egress link via, or
+// nil when the table has none.
+func (r *Reroute) entry(dst topo.NodeID, via topo.LinkID) *rerouteEntry {
+	row := r.row(dst)
+	for j := range row {
+		if r.ports[j] == via {
+			return &row[j]
+		}
+	}
+	return nil
+}
+
+// fresh reports whether a register holds an advertisement still usable at
+// now.
+func (r *Reroute) fresh(e *rerouteEntry, now time.Duration) bool {
+	return e.at != unset && now-e.at <= r.cfg.StaleAfter
 }
 
 // Name implements PPM.
@@ -237,16 +189,18 @@ func (r *Reroute) Resources() dataplane.Resources {
 func (r *Reroute) BestVia(dst topo.NodeID, now time.Duration, exclude topo.LinkID) (topo.LinkID, float64, bool) {
 	best := topo.LinkID(-1)
 	bestU := 0.0
-	//ffvet:ok min with a link-ID tie-break is order-independent
-	for via, e := range r.table[dst] {
-		if via == exclude || now-e.at > r.cfg.StaleAfter {
+	row := r.row(dst)
+	for j := range row {
+		via := r.ports[j]
+		if via == exclude || !r.fresh(&row[j], now) {
 			continue
 		}
-		u := e.util
+		u := row[j].util
 		if lu := r.linkUtil(via); lu > u {
 			u = lu
 		}
-		if best == -1 || u < bestU || (u == bestU && via < best) {
+		// Ports run in link-ID order, so a tie keeps the lower link ID.
+		if best == -1 || u < bestU {
 			best, bestU = via, u
 		}
 	}
@@ -291,7 +245,7 @@ func (r *Reroute) Process(ctx *dataplane.Context) dataplane.Verdict {
 	var at flowletAt
 	if r.cfg.FlowletTimeout > 0 {
 		at.key, at.hash = p.Flow()
-		at.slot, at.entry = r.flowlets.find(at.key, at.hash)
+		at.slot, at.entry = r.flowlets.Find(at.key, at.hash)
 		if fl := at.entry; fl != nil &&
 			ctx.Now-fl.lastSeen < r.cfg.FlowletTimeout &&
 			ctx.Now-fl.firstSeen < r.cfg.MaxFlowletAge {
@@ -316,7 +270,7 @@ func (r *Reroute) Process(ctx *dataplane.Context) dataplane.Verdict {
 	// Hysteresis against the TE egress: move only if clearly better.
 	if ctx.OutLink >= 0 {
 		cur := r.linkUtil(ctx.OutLink)
-		if e, ok := r.table[dsw][ctx.OutLink]; ok && ctx.Now-e.at <= r.cfg.StaleAfter && e.util > cur {
+		if e := r.entry(dsw, ctx.OutLink); e != nil && r.fresh(e, ctx.Now) && e.util > cur {
 			cur = e.util
 		}
 		if bestU+r.cfg.Hysteresis >= cur {
@@ -336,7 +290,7 @@ type flowletAt struct {
 	key   packet.FlowKey
 	hash  uint64
 	slot  uint64
-	entry *flowletEntry
+	entry *flowlet
 }
 
 // recordFlowlet remembers a steering decision; the table is bounded by
@@ -349,15 +303,16 @@ func (r *Reroute) recordFlowlet(at flowletAt, via topo.LinkID, now time.Duration
 		fl.via, fl.firstSeen, fl.lastSeen = via, now, now
 		return
 	}
-	if r.flowlets.len() >= r.cfg.FlowletCapacity {
-		r.flowlets.evictStale(now, r.cfg.FlowletTimeout)
-		if r.flowlets.len() >= r.cfg.FlowletCapacity {
+	if r.flowlets.Len() >= r.flowlets.Cap() {
+		timeout := r.cfg.FlowletTimeout
+		r.flowlets.Sweep(func(fl *flowlet) bool { return now-fl.lastSeen < timeout })
+		if r.flowlets.Len() >= r.flowlets.Cap() {
 			return // table genuinely full of live flowlets; skip recording
 		}
-		// Eviction rebuilt the slot array, so the key's empty slot moved.
-		at.slot, _ = r.flowlets.find(at.key, at.hash)
+		// Deletion backshifts slots, so the key's empty slot may move.
+		at.slot, _ = r.flowlets.Find(at.key, at.hash)
 	}
-	r.flowlets.insert(at.slot, flowletEntry{key: at.key, via: via, firstSeen: now, lastSeen: now})
+	r.flowlets.Insert(at.slot, at.key, flowlet{via: via, firstSeen: now, lastSeen: now})
 }
 
 // handleProbe folds a received utilization probe into the table and
@@ -368,20 +323,16 @@ func (r *Reroute) handleProbe(ctx *dataplane.Context) {
 	if origin < 0 || topo.NodeID(origin) == r.self || ctx.InLink < 0 {
 		return
 	}
-	dst := topo.NodeID(pi.DstSwitch)
 	via := r.g.Links[ctx.InLink].Reverse
-	if via < 0 {
-		return
+	e := r.entry(topo.NodeID(pi.DstSwitch), via)
+	if e == nil {
+		return // no such switch or no such egress: recorded nowhere
 	}
-	adv := float64(pi.UtilMicro) / 1e6
-	pathUtil := adv
+	pathUtil := float64(pi.UtilMicro) / 1e6
 	if lu := r.linkUtil(via); lu > pathUtil {
 		pathUtil = lu
 	}
-	if r.table[dst] == nil {
-		r.table[dst] = make(map[topo.LinkID]rerouteEntry)
-	}
-	r.table[dst][via] = rerouteEntry{util: pathUtil, at: ctx.Now}
+	*e = rerouteEntry{util: pathUtil, at: ctx.Now}
 
 	if r.seenProbe != nil && r.seenProbe(pi.Dedup()) {
 		return

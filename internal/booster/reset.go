@@ -13,7 +13,7 @@ package booster
 // ResetRun implements dataplane.RunResettable.
 func (h *HeavyHitter) ResetRun() {
 	h.pipe.Reset()
-	clear(h.banned)
+	h.banned.Reset()
 	h.epochEnds = 0
 	h.lastAssert = 0
 	h.active = false
@@ -51,16 +51,9 @@ func (o *Obfuscator) ResetRun() {
 
 // ResetRun implements dataplane.RunResettable.
 func (r *Reroute) ResetRun() {
-	clear(r.table)
+	r.clearTable()
 	r.lastProbe = 0
 	r.seq = 0
-	r.flowlets.reset()
+	r.flowlets.Reset()
 	r.Rerouted, r.Probes, r.Flowlets = 0, 0, 0
-}
-
-// reset empties the flowlet table in place, keeping its backing arrays.
-func (t *flowletTable) reset() {
-	clear(t.slots)
-	t.entries = t.entries[:0]
-	t.free = t.free[:0]
 }

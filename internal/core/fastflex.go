@@ -270,7 +270,6 @@ func (f *Fabric) switchesFor(lead string) []topo.NodeID {
 
 func (f *Fabric) installBoosters() error {
 	g := f.Net.G
-	dstSwitch := booster.EdgeSwitchMap(g)
 
 	lfaEnt := catalogEntry("lfa-detect")
 	for _, sw := range f.switchesFor(lfaEnt.Lead) {
@@ -326,7 +325,7 @@ func (f *Fabric) installBoosters() error {
 		ent := catalogEntry("reroute")
 		for _, sw := range f.switchesFor(ent.Lead) {
 			s := f.Net.Switch(sw)
-			rr := booster.NewReroute(sw, g, dstSwitch, f.Net.LinkLoad, s.SeenProbe, f.Cfg.Reroute)
+			rr := booster.NewReroute(sw, g, f.Net.LinkLoad, s.SeenProbe, f.Cfg.Reroute)
 			f.Reroutes[sw] = rr
 			if err := s.Install(dataplane.Program{
 				PPM: rr, Priority: ent.Priority, Modes: gateFor(ent),

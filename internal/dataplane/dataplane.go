@@ -142,7 +142,6 @@ type Switch struct {
 	programs []Program
 	used     Resources
 	modes    ModeSet
-	seq      uint32
 
 	// Compiled forwarding plane: active is the pipeline compiled for the
 	// current mode set (see pipeline.go); pipelines caches compilations
@@ -241,12 +240,6 @@ func (s *Switch) SetMode(m ModeID, on bool) {
 	}
 }
 
-// NextSeq returns a fresh per-switch probe sequence number.
-func (s *Switch) NextSeq() uint32 {
-	s.seq++
-	return s.seq
-}
-
 // SeenProbe records a probe's dedup key and reports whether it was already
 // seen. The set is bounded; oldest entries fall out first.
 func (s *Switch) SeenProbe(k packet.DedupKey) bool {
@@ -309,7 +302,6 @@ func (s *Switch) ResetRun() error {
 		s.modes = 0
 		s.recompile()
 	}
-	s.seq = 0
 	s.seen.reset()
 	s.Reconfiguring = false
 	s.Processed, s.Dropped = 0, 0

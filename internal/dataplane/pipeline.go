@@ -61,24 +61,3 @@ func (s *Switch) invalidatePipelines() {
 	s.pipelines = nil
 	s.recompile()
 }
-
-// processInterpreted is the retired per-packet interpreter, kept only as a
-// differential oracle: tests drive the same packets through both paths and
-// require identical verdicts and context mutations. It must not be called
-// from the simulator.
-func (s *Switch) processInterpreted(ctx *Context) Verdict {
-	s.Processed++
-	for _, p := range s.programs {
-		if !s.modeMatch(p.Modes) {
-			continue
-		}
-		switch v := p.PPM.Process(ctx); v {
-		case Drop:
-			s.Dropped++
-			return Drop
-		case Consume:
-			return Consume
-		}
-	}
-	return Continue
-}

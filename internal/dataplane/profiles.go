@@ -34,10 +34,3 @@ func ProfileNames() []string {
 	sort.Strings(names)
 	return names
 }
-
-// RegisterProfile adds (or replaces) a named switch profile. Deployments
-// with additional hardware classes register them before running ppm.Lint
-// so blueprints are audited against the real fleet.
-func RegisterProfile(name string, r Resources) {
-	profiles[name] = r
-}

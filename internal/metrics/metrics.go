@@ -114,15 +114,6 @@ type Sampler struct {
 	ticker *eventsim.Ticker
 }
 
-// NewSampler starts sampling fn every period, each tick ranked by own.
-func NewSampler(eng *eventsim.Engine, own *eventsim.RankOwner, name string, period time.Duration, fn func() float64) *Sampler {
-	s := &Sampler{S: &Series{Name: name}}
-	s.ticker = eventsim.NewTicker(eng, own, period, func() {
-		s.S.Add(eng.Now(), fn())
-	})
-	return s
-}
-
 // Stop halts sampling.
 func (s *Sampler) Stop() { s.ticker.Stop() }
 

@@ -76,25 +76,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestSampler(t *testing.T) {
-	eng := eventsim.New(1)
-	x := 0.0
-	o := eventsim.NewRankOwner(1)
-	s := NewSampler(eng, &o, "x", 100*time.Millisecond, func() float64 { x++; return x })
-	eng.Run(time.Second)
-	if s.S.Len() != 10 {
-		t.Fatalf("samples = %d, want 10", s.S.Len())
-	}
-	if s.S.V[0] != 1 || s.S.V[9] != 10 {
-		t.Fatalf("sample values wrong: %v", s.S.V)
-	}
-	s.Stop()
-	eng.Run(2 * time.Second)
-	if s.S.Len() != 10 {
-		t.Fatal("sampler kept running after Stop")
-	}
-}
-
 func TestRateSampler(t *testing.T) {
 	eng := eventsim.New(1)
 	var counter uint64

@@ -2,10 +2,10 @@ package mode
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"fastflex/internal/dataplane"
-	"fastflex/internal/eventsim"
 	"fastflex/internal/packet"
 	"fastflex/internal/topo"
 )
@@ -62,11 +62,14 @@ type Controller struct {
 	seen    func(packet.DedupKey) bool
 	seq     uint32
 
-	activatedAt map[dataplane.ModeID]time.Duration
-	// leaseFloor is a lower bound on every value in activatedAt (it may lag
+	// active is the set of modes held here; activatedAt[m] is when mode m
+	// in it was last (re)activated.
+	active      dataplane.ModeSet
+	activatedAt [maxModes]time.Duration
+	// leaseFloor is a lower bound on every lease in activatedAt (it may lag
 	// behind the true minimum after a refresh, never run ahead of it). It
 	// lets the per-packet expire() check bail with one comparison instead
-	// of sorting the lease map on every packet the switch forwards.
+	// of walking the leases on every packet the switch forwards.
 	leaseFloor  time.Duration
 	changeTimes []time.Duration
 
@@ -85,11 +88,11 @@ type Controller struct {
 func NewController(self topo.NodeID, setMode func(dataplane.ModeID, bool),
 	seen func(packet.DedupKey) bool, cfg Config) *Controller {
 	cfg.fillDefaults()
-	return &Controller{
-		cfg: cfg, self: self, setMode: setMode, seen: seen,
-		activatedAt: make(map[dataplane.ModeID]time.Duration),
-	}
+	return &Controller{cfg: cfg, self: self, setMode: setMode, seen: seen}
 }
+
+// maxModes is how many modes a ModeSet can name: IDs 0 to 63.
+const maxModes = 64
 
 // Name implements PPM.
 func (c *Controller) Name() string { return fmt.Sprintf("modectl@%d", c.self) }
@@ -99,7 +102,7 @@ func (c *Controller) Name() string { return fmt.Sprintf("modectl@%d", c.self) }
 // survives (the fabric wires it once, at build).
 func (c *Controller) ResetRun() {
 	c.seq = 0
-	clear(c.activatedAt)
+	c.active = 0
 	c.leaseFloor = 0
 	c.changeTimes = c.changeTimes[:0]
 	c.Activations, c.Clears, c.Suppressed, c.Expired = 0, 0, 0, 0
@@ -126,7 +129,7 @@ func (c *Controller) Process(ctx *dataplane.Context) dataplane.Verdict {
 // bypasses the dwell and budget checks: it is the stabilizer of last
 // resort, not a normal transition.
 func (c *Controller) expire(now time.Duration) {
-	if c.cfg.SoftTTL <= 0 || len(c.activatedAt) == 0 {
+	if c.cfg.SoftTTL <= 0 || c.active == 0 {
 		return
 	}
 	// Every lease was (re)activated at or after leaseFloor, so nothing can
@@ -137,11 +140,12 @@ func (c *Controller) expire(now time.Duration) {
 		return
 	}
 	floor := now
-	// Sorted so that OnChange observers see expirations in mode order, not
-	// map order, when several leases lapse on the same tick.
-	for _, m := range eventsim.SortedKeys(c.activatedAt) {
+	// In mode order, so OnChange observers see expirations in mode order
+	// when several leases lapse on the same tick.
+	for set := c.active; set != 0; set &= set - 1 {
+		m := dataplane.ModeID(bits.TrailingZeros64(uint64(set)))
 		if at := c.activatedAt[m]; now-at > c.cfg.SoftTTL {
-			delete(c.activatedAt, m)
+			c.active = c.active.Without(m)
 			c.setMode(m, false)
 			c.Expired++
 			if c.OnChange != nil {
@@ -159,6 +163,9 @@ func (c *Controller) handleModeChange(ctx *dataplane.Context) dataplane.Verdict 
 	if pi.Origin == packet.RouterAddr(int(c.self)) {
 		return dataplane.Consume // our own probe came back around
 	}
+	if pi.Mode >= maxModes {
+		return dataplane.Consume // no ModeSet holds it: not applied, counted or reflooded
+	}
 	dup := c.seen(pi.Dedup())
 	if !dup && (pi.Region == RegionGlobal || pi.Region == c.cfg.Region) {
 		c.apply(dataplane.ModeID(pi.Mode), !pi.Clear, ctx.Now)
@@ -173,15 +180,15 @@ func (c *Controller) handleModeChange(ctx *dataplane.Context) dataplane.Verdict 
 
 // apply performs one local transition, subject to dwell and budget checks.
 func (c *Controller) apply(m dataplane.ModeID, active bool, now time.Duration) {
-	if m == 0 {
+	if m == 0 || m >= maxModes {
 		return
 	}
+	held := c.active&(1<<m) != 0
 	if !active {
-		at, ok := c.activatedAt[m]
-		if !ok {
+		if !held {
 			return // not active here; nothing to clear
 		}
-		if now-at < c.cfg.MinDwell {
+		if now-c.activatedAt[m] < c.cfg.MinDwell {
 			c.Suppressed++
 			return
 		}
@@ -189,7 +196,7 @@ func (c *Controller) apply(m dataplane.ModeID, active bool, now time.Duration) {
 			c.Suppressed++
 			return
 		}
-		delete(c.activatedAt, m)
+		c.active = c.active.Without(m)
 		c.setMode(m, false)
 		c.Clears++
 		c.recordChange(now)
@@ -198,7 +205,7 @@ func (c *Controller) apply(m dataplane.ModeID, active bool, now time.Duration) {
 		}
 		return
 	}
-	if _, ok := c.activatedAt[m]; ok {
+	if held {
 		c.activatedAt[m] = now // refresh dwell on re-assertion
 		return
 	}
@@ -206,9 +213,10 @@ func (c *Controller) apply(m dataplane.ModeID, active bool, now time.Duration) {
 		c.Suppressed++
 		return
 	}
-	if len(c.activatedAt) == 0 {
+	if c.active == 0 {
 		c.leaseFloor = now
 	}
+	c.active = c.active.With(m)
 	c.activatedAt[m] = now
 	c.setMode(m, true)
 	c.Activations++
@@ -271,6 +279,8 @@ func (c *Controller) emitProbe(ctx *dataplane.Context, m dataplane.ModeID, regio
 // ActiveSince returns when the mode was locally activated; ok is false if
 // the mode is not active.
 func (c *Controller) ActiveSince(m dataplane.ModeID) (time.Duration, bool) {
-	at, ok := c.activatedAt[m]
-	return at, ok
+	if c.active&(1<<m) == 0 {
+		return 0, false
+	}
+	return c.activatedAt[m], true
 }

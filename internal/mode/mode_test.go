@@ -340,3 +340,58 @@ func TestSoftTTLExpiry(t *testing.T) {
 		t.Fatalf("expired counter = %d", r.c.Expired)
 	}
 }
+
+// TestSoftTTLExpiryInModeOrder: leases that lapse on the same tick reach
+// OnChange in mode order, whatever order they were activated in.
+func TestSoftTTLExpiryInModeOrder(t *testing.T) {
+	r := newRig(1, Config{Region: 1, SoftTTL: time.Second})
+	var expired []dataplane.ModeID
+	r.c.OnChange = func(m dataplane.ModeID, active bool, _ time.Duration) {
+		if !active {
+			expired = append(expired, m)
+		}
+	}
+	for i, m := range []uint8{40, 3, 63, 1, 17} {
+		r.c.Process(ctxAt(time.Duration(i)*time.Millisecond, modeProbe(9, uint32(i+1), m, 1, false), 5))
+	}
+	r.c.Process(ctxAt(2*time.Second, dataPkt(), 5))
+	want := []dataplane.ModeID{1, 3, 17, 40, 63}
+	if len(expired) != len(want) {
+		t.Fatalf("expired %v, want %v", expired, want)
+	}
+	for i := range want {
+		if expired[i] != want[i] {
+			t.Fatalf("expired %v, want %v", expired, want)
+		}
+	}
+	if r.c.Expired != 5 {
+		t.Fatalf("expired counter = %d, want 5", r.c.Expired)
+	}
+}
+
+// TestOutOfRangeModeSpendsNoBudget: a mode-change probe naming a mode no
+// ModeSet can hold (ID >= 64) is consumed without being applied, counted or
+// reflooded, so a burst of them cannot exhaust the change budget and
+// suppress a genuine activation. A host forging in-range modes (4-63) is
+// the trust-boundary problem of the control channel and is not covered
+// here.
+func TestOutOfRangeModeSpendsNoBudget(t *testing.T) {
+	r := newRig(1, Config{Region: 2})
+	for i := 0; i < 16; i++ {
+		ctx := ctxAt(time.Second, modeProbe(9, uint32(i+1), uint8(64+i), 2, false), 5)
+		if v := r.c.Process(ctx); v != dataplane.Consume {
+			t.Fatalf("probe %d: verdict = %v, want Consume", i, v)
+		}
+		if len(ctx.Emissions()) != 0 {
+			t.Fatalf("probe %d for mode %d reflooded", i, 64+i)
+		}
+	}
+	if r.c.Activations != 0 {
+		t.Fatalf("activations = %d after out-of-range probes, want 0", r.c.Activations)
+	}
+	r.c.Process(ctxAt(2*time.Second, modeProbe(9, 100, 3, 2, false), 5))
+	if !r.modes[3] || r.c.Activations != 1 || r.c.Suppressed != 0 {
+		t.Fatalf("genuine activation: mode 3 %v, activations %d, suppressed %d",
+			r.modes[3], r.c.Activations, r.c.Suppressed)
+	}
+}

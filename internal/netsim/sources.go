@@ -77,9 +77,6 @@ func (s *CBRSource) Stop() {
 	}
 }
 
-// Running reports whether the source is transmitting.
-func (s *CBRSource) Running() bool { return s.running }
-
 // SetRate changes the sending rate (takes effect from the next packet).
 func (s *CBRSource) SetRate(bps float64) { s.rateBps = bps }
 

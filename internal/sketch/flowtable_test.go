@@ -231,9 +231,9 @@ func TestFlowTableStorageFollowsFlows(t *testing.T) {
 	ft := NewFlowTable(capacity)
 	for k := 1; k <= capacity+500; k++ {
 		ft.Observe(flowPkt(k), time.Duration(k)*time.Millisecond)
-		if n := len(ft.nodes); n > max(initialFlowNodes, 2*k) || n > capacity {
+		if n := cap(ft.tab.entries); n > max(InitialEntries, 2*k) || n > capacity {
 			t.Fatalf("after %d flows: %d nodes, want <= min(max(%d, %d), %d)",
-				k, n, initialFlowNodes, 2*k, capacity)
+				k, n, InitialEntries, 2*k, capacity)
 		}
 	}
 	if ft.Len() != capacity || ft.Evictions() != 500 {
@@ -247,7 +247,7 @@ func TestFlowTableStorageFollowsFlows(t *testing.T) {
 // TestFlowTableResetKeepsStorage: a warm table that is Reset and sees the
 // same flows again allocates nothing, because Reset keeps grown storage.
 func TestFlowTableResetKeepsStorage(t *testing.T) {
-	const flows = 3 * initialFlowNodes
+	const flows = 3 * InitialEntries
 	pkts := make([]*packet.Packet, flows)
 	for k := range pkts {
 		pkts[k] = flowPkt(k)
@@ -257,16 +257,16 @@ func TestFlowTableResetKeepsStorage(t *testing.T) {
 	for _, p := range pkts {
 		ft.Observe(p, 0)
 	}
-	grown := len(ft.nodes)
+	grown := cap(ft.tab.entries)
 	allocs := testing.AllocsPerRun(20, func() {
 		ft.Reset()
 		for i, p := range pkts {
 			ft.Observe(p, time.Duration(i))
 		}
 	})
-	if allocs != 0 || len(ft.nodes) != grown || ft.Len() != flows {
+	if allocs != 0 || cap(ft.tab.entries) != grown || ft.Len() != flows {
 		t.Fatalf("re-run after Reset: %v allocs, %d nodes (grown %d), %d flows; want 0 allocs and storage kept",
-			allocs, len(ft.nodes), grown, ft.Len())
+			allocs, cap(ft.tab.entries), grown, ft.Len())
 	}
 }
 

@@ -139,9 +139,6 @@ func (r *Reassembler) Add(pi *packet.ProbeInfo) {
 	}
 }
 
-// Received returns how many distinct data chunks have arrived.
-func (r *Reassembler) Received() int { return len(r.chunks) }
-
 // recover attempts parity recovery of missing data chunks (one per group).
 func (r *Reassembler) recover() {
 	if !r.cfg.Parity {

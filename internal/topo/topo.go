@@ -118,7 +118,7 @@ func (g *Graph) AddDuplex(a, b NodeID, bps float64, delayNS int64) LinkID {
 	return f
 }
 
-// Out returns the IDs of links leaving n.
+// Out returns the IDs of links leaving n, in ID order (AddLink appends).
 func (g *Graph) Out(n NodeID) []LinkID {
 	if uint(n) < uint(len(g.out)) {
 		return g.out[n]
